@@ -9,12 +9,13 @@ they now share:
   per-rank tasks with exact size predictions, run fingerprint,
   generation-time transforms, and the memory budget;
 * :mod:`repro.engine.scheduler` — :class:`StaticScheduler`: deterministic
-  rank-order batching (whole-run, per-rank, or budget-packed); and
-  :class:`WorkQueueScheduler`: completion-driven LPT work queue
-  (no barriers, rank-order commit via the engine's reorder buffer);
+  rank-order groups with a barrier between them (whole-run or
+  per-rank); and :class:`WorkQueueScheduler`: one LPT-ordered group
+  (no barriers);
 * :mod:`repro.engine.execute` — :func:`execute`: the one loop, running
-  tiled kernels (:func:`repro.kron.kron_tiles`) through the
-  :class:`~repro.runtime.RankExecutor` into a sink;
+  tiled kernels (:func:`repro.kron.kron_tiles`) through
+  :meth:`~repro.runtime.RankExecutor.run_iter` and a rank-order reorder
+  buffer into a sink;
 * :mod:`repro.engine.sinks` — :class:`AssemblySink` (in-memory union),
   :class:`ShardSink` (crash-safe atomic shards + manifest),
   :class:`DegreeSink` (streaming degree histogram, no edge storage).

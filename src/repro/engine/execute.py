@@ -10,24 +10,23 @@ the tiles into the sink's consumer — so peak memory per rank is bounded
 by ``memory_budget_entries`` (plus the model's single-row floor) instead
 of the whole rank block.
 
-:func:`execute` drives the whole run through the
-:class:`~repro.runtime.RankExecutor` (retry/backoff/timeout/straggler
-accounting come for free) on one of two paths, chosen by the scheduler:
+:func:`execute` drives the whole run through one dispatch loop over
+:meth:`~repro.runtime.RankExecutor.run_iter` (retry/backoff/timeout/
+straggler accounting come for free).  The scheduler returns ordered
+groups of tasks; tasks are submitted in that order and land in whatever
+order workers finish, and a **reorder buffer** holds
+completed-but-not-yet-committable outcomes so ``sink.commit`` happens in
+ascending rank order under every scheduler — shard bytes,
+``manifest.json``, and resume behavior never depend on the scheduler.
+Two admission rules gate each submission:
 
-* **batch-synchronous** (default, :class:`StaticScheduler`): each batch
-  is one ``executor.run`` call with a barrier after it, outcomes commit
-  in batch (= ascending rank) order;
-* **completion-driven** (any scheduler with ``streaming = True``, i.e.
-  :class:`~repro.engine.scheduler.WorkQueueScheduler`): tasks stream
-  through ``executor.run_iter`` in the scheduler's submission order and
-  land in whatever order workers finish; a **reorder buffer** holds
-  completed-but-not-yet-committable outcomes so ``sink.commit`` still
-  happens in ascending rank order — shard bytes, ``manifest.json``, and
-  resume behavior are byte-identical to the static path.  The buffer is
-  bounded by the plan's ``memory_budget_entries``: when buffered
-  estimated entries exceed it, submission pauses (backpressure) except
-  for the commit-pointer task itself, which is always eligible so the
-  buffer can drain and the run cannot deadlock.
+* **barrier** — a group is submitted only after every task of the
+  previous group has committed (``StaticScheduler(batch_size=1)`` thus
+  commits rank by rank; a one-group scheduler has no barrier at all);
+* **backpressure** — when buffered estimated entries exceed the plan's
+  ``memory_budget_entries``, submission pauses except for the
+  commit-pointer task itself, which is always eligible so the buffer
+  can drain and the run cannot deadlock.
 
 Fatal failures (``StorageError``, ``FatalRankError``,
 ``RetryExhaustedError``) abort the sink — which leaves a resumable
@@ -39,14 +38,15 @@ deliberately sails past this handling, exactly as a real SIGKILL would.
 Metrics: ``engine.tasks`` (executed, excluding skipped),
 ``engine.tiles`` (total tiles across all ranks — how often the kernel
 had to cut), ``engine.peak_tile_entries`` (the realized memory
-high-water mark, reset at the start of every run), ``engine.queue_depth``
-(peak in-flight tasks, streaming path), ``engine.worker_utilization``
-(busy worker-seconds over ``workers × wall``), and
-``engine.straggler_gap_s`` (slowest final attempt minus the median).
-Elastic backends add ``engine.workers_active`` (live members),
-``engine.revocations``, ``engine.lease_expiries``, and
-``engine.reassigned_tasks`` (tasks resubmitted after losing their
-worker — also incremented by ``run_iter`` for broken process pools).
+high-water mark, reset at the start of every run),
+``engine.queue_depth`` (peak in-flight tasks of a work-queue run; 0
+under static groups), ``engine.worker_utilization`` (busy worker-seconds
+over ``workers × wall``), and ``engine.straggler_gap_s`` (slowest final
+attempt minus the median).  Elastic backends add
+``engine.workers_active`` (live members), ``engine.revocations``,
+``engine.lease_expiries``, and ``engine.reassigned_tasks`` (tasks
+resubmitted after losing their worker — also incremented by ``run_iter``
+for broken process pools).
 
 NOTE Imports from ``repro.parallel`` are function-local only — see
 :mod:`repro.engine.plan` on the import cycle.
@@ -117,10 +117,10 @@ class _RankMappedInjector:
     ``(rank, attempt)`` contract.
 
     The mapping is explicit ``(index, rank)`` pairs — task identity, not
-    batch-local position — so the streaming path can never misattribute
-    an injected failure when submission order ≠ rank order.  Frozen and
-    module-level so it pickles across the multiprocessing boundary (the
-    wrapped injector must be picklable itself, as before)."""
+    submission position — so an injected failure is never misattributed
+    when submission order ≠ rank order.  Frozen and module-level so it
+    pickles across the multiprocessing boundary (the wrapped injector
+    must be picklable itself, as before)."""
 
     rank_by_index: Tuple[Tuple[int, int], ...]
     injector: Callable[[int, int], None]
@@ -167,7 +167,7 @@ class EngineResult:
     sink_result: object
     stats: Tuple[TaskStats, ...]
     skipped_ranks: Tuple[int, ...]
-    executions: Tuple[ExecutionResult, ...]
+    execution: ExecutionResult
     elapsed_s: float
 
     @property
@@ -298,19 +298,22 @@ def execute(
     / ``scheduler`` keywords are deprecated aliases (they warn once).
 
     ``executor`` overrides the backend/retry/timeout arguments when
-    given; ``scheduler`` defaults to a single all-task batch
-    (:class:`~repro.engine.scheduler.StaticScheduler`).  A scheduler
-    carrying ``streaming = True`` (e.g.
-    :class:`~repro.engine.scheduler.WorkQueueScheduler`) switches to the
-    completion-driven path; commit order — and therefore all sink output
-    — is identical either way.  ``failure_injector`` is called as
-    ``injector(rank, attempt)`` inside the worker, before the kernel —
-    the adversary hook the failure tests drive.
+    given; ``scheduler`` defaults to a single all-task group
+    (:class:`~repro.engine.scheduler.StaticScheduler`).  Every scheduler
+    runs through the same dispatch loop; its groups only decide where
+    the barriers sit, so commit order — and therefore all sink output —
+    is identical under every scheduler.  ``failure_injector`` is called
+    as ``injector(rank, attempt)`` inside the worker, before the kernel
+    — the adversary hook the failure tests drive.
+
+    A backend resolved here from a name or ``None`` belongs to this call
+    and is shut down before it returns; a backend *instance* (or an
+    ``executor``) belongs to the caller and stays open for reuse.
 
     On an elastic backend (:class:`~repro.typing.ElasticBackend`, e.g.
     :class:`~repro.runtime.elastic.ElasticWorkerPool`) the engine binds
-    the pool's churn metrics into ``metrics``, bounds the streaming
-    in-flight window by the pool's *live* worker count, and installs
+    the pool's churn metrics into ``metrics``, bounds the in-flight
+    window by the pool's *live* worker count, and installs
     ``scale_policy`` (a ``PoolStats -> target size | None`` callable
     consulted on submit/completion/tick — the autoscaler hook).  Passing
     ``scale_policy`` with a non-elastic backend raises
@@ -334,23 +337,68 @@ def execute(
         backend=_UNSET if backend is None else backend,
         scheduler=_UNSET if scheduler is None else scheduler,
     )
-    backend = cfg.backend
-    scheduler = cfg.scheduler
     if cfg.kernel != "auto" and cfg.kernel != plan.kernel:
         plan = replace(plan, kernel=cfg.kernel)
+    owned_backend = None
     if executor is None:
         from repro.parallel.backends import resolve_backend
 
+        resolved = resolve_backend(cfg.backend)
+        if resolved is not cfg.backend:
+            owned_backend = resolved
         executor = RankExecutor(
-            resolve_backend(backend),
+            resolved,
             max_retries=max_retries,
             rank_timeout_s=rank_timeout_s,
             metrics=metrics,
             tracer=tracer,
             events=events,
         )
-    if scheduler is None:
-        scheduler = StaticScheduler()
+    try:
+        return _execute(
+            plan,
+            sink,
+            executor,
+            cfg.scheduler or StaticScheduler(),
+            metrics=metrics,
+            tracer=tracer,
+            failure_injector=failure_injector,
+            scale_policy=scale_policy,
+        )
+    finally:
+        if owned_backend is not None:
+            getattr(owned_backend, "shutdown", lambda: None)()
+
+
+def _require_ascending_groups(groups: List[Tuple[RankTask, ...]]) -> None:
+    """Refuse group orders the commit barrier would deadlock on.
+
+    Group k+1 is submitted only once group k has committed, and commits
+    go in ascending rank order — so every rank of group k must precede
+    every rank of group k+1.
+    """
+    for k in range(1, len(groups)):
+        top = max(t.rank for t in groups[k - 1])
+        if min(t.rank for t in groups[k]) < top:
+            raise GenerationError(
+                f"scheduler group {k} starts below rank {top} of group "
+                f"{k - 1}; groups after the first must ascend in rank"
+            )
+
+
+def _execute(
+    plan: GenerationPlan,
+    sink: Sink,
+    executor: RankExecutor,
+    scheduler,
+    *,
+    metrics: MetricsRegistry | None,
+    tracer: Tracer | None,
+    failure_injector: Callable[[int, int], None] | None,
+    scale_policy: Callable | None,
+) -> EngineResult:
+    """The dispatch loop behind :func:`execute` (its backend resolved)."""
+    from repro.parallel.backends import backend_worker_count
     from repro.typing import ElasticBackend
 
     elastic = isinstance(executor.backend, ElasticBackend)
@@ -370,7 +418,6 @@ def execute(
         # second run must not report the first run's peak/depth.
         metrics.gauge("engine.peak_tile_entries").set(0)
         metrics.gauge("engine.queue_depth").set(0)
-    streaming = bool(getattr(scheduler, "streaming", False))
     model = plan.model
     # Resolve the kernel once, coordinator-side — resolution is
     # model-owned: every worker gets a concrete "numpy"/"native" (a
@@ -408,7 +455,6 @@ def execute(
     pending = [t for t in plan.tasks if t.rank not in skip_set]
     if metrics is not None:
         metrics.counter("engine.tasks").inc(len(pending))
-    executions: List[ExecutionResult] = []
     stats: List[TaskStats] = []
     peak = 0
     queue_depth_peak = 0
@@ -464,114 +510,98 @@ def execute(
                 metrics.gauge("engine.peak_tile_entries").set(peak)
 
     try:
-        if streaming:
-            order = scheduler.order(
+        groups = [
+            g
+            for g in scheduler.order(
                 pending, memory_budget_entries=plan.memory_budget_entries
             )
-            work = [make_work(t) for t in order]
-            injector = (
-                None
-                if failure_injector is None
-                else _RankMappedInjector(
-                    tuple((i, t.rank) for i, t in enumerate(order)),
-                    failure_injector,
-                )
+            if g
+        ]
+        _require_ascending_groups(groups)
+        order = [t for g in groups for t in g]
+        group_of = [k for k, g in enumerate(groups) for _ in g]
+        uncommitted = [len(g) for g in groups]
+        open_group = 0
+        work = [make_work(t) for t in order]
+        injector = (
+            None
+            if failure_injector is None
+            else _RankMappedInjector(
+                tuple((i, t.rank) for i, t in enumerate(order)),
+                failure_injector,
             )
-            # Commit pointer: item indices in ascending-rank order; the
-            # reorder buffer drains along this sequence.
-            commit_seq = sorted(
-                range(len(order)), key=lambda i: order[i].rank
-            )
-            buffered: Dict[int, TaskOutcome] = {}
-            buffered_entries = 0
-            pos = 0
-            budget = plan.memory_budget_entries
+        )
+        # Commit pointer: item indices in ascending-rank order; the
+        # reorder buffer drains along this sequence.
+        commit_seq = sorted(range(len(order)), key=lambda i: order[i].rank)
+        buffered: Dict[int, TaskOutcome] = {}
+        buffered_entries = 0
+        pos = 0
+        budget = plan.memory_budget_entries
 
-            def submit_hook(
-                unsubmitted: Tuple[int, ...]
-            ) -> Optional[int]:
-                # Backpressure: once buffered-but-uncommittable outcomes
-                # exceed the budget, only the commit-pointer task may
-                # still be submitted — it is what the buffer is waiting
-                # on, so refusing it would deadlock while admitting it
-                # drains the buffer.
-                if budget is None or buffered_entries <= budget:
-                    return unsubmitted[0]
-                head = commit_seq[pos]
-                if head in unsubmitted:
-                    return head
+        def submit_hook(unsubmitted: Tuple[int, ...]) -> Optional[int]:
+            # Barrier: a later group waits until the open one has fully
+            # committed.
+            if group_of[unsubmitted[0]] != open_group:
                 return None
+            # Backpressure: once buffered-but-uncommittable outcomes
+            # exceed the budget, only the commit-pointer task may still
+            # be submitted — it is what the buffer is waiting on, so
+            # refusing it would deadlock while admitting it drains the
+            # buffer.
+            if budget is None or buffered_entries <= budget:
+                return unsubmitted[0]
+            head = commit_seq[pos]
+            if head in unsubmitted:
+                return head
+            return None
 
-            max_in_flight = getattr(scheduler, "max_in_flight", None)
-            if max_in_flight is None:
-                if elastic:
-                    # The window must track the *live* membership as
-                    # workers join and leave; run_iter re-evaluates the
-                    # callable before each submission (clamped >= 1 so
-                    # an empty pool queues instead of stalling).
-                    max_in_flight = executor.backend.worker_count
-                else:
-                    from repro.parallel.backends import backend_worker_count
-
-                    max_in_flight = backend_worker_count(executor.backend)
-            results_by_index: Dict[int, TaskOutcome] = {}
-            reports_by_index: Dict[int, RankReport] = {}
-            span_cm = (
-                tracer.span("engine.stream", ranks=len(order))
-                if tracer is not None
-                else nullcontext()
-            )
-            with span_cm:
-                for done in executor.run_iter(
-                    _run_rank_task,
-                    work,
-                    injector=injector,
-                    max_in_flight=max_in_flight,
-                    submit_hook=submit_hook,
-                ):
-                    queue_depth_peak = max(queue_depth_peak, done.in_flight)
-                    results_by_index[done.index] = done.value
-                    reports_by_index[done.index] = done.report
-                    buffered[done.index] = done.value
-                    buffered_entries += order[done.index].estimated_entries
-                    while pos < len(commit_seq) and commit_seq[pos] in buffered:
-                        i = commit_seq[pos]
-                        outcome = buffered.pop(i)
-                        buffered_entries -= order[i].estimated_entries
-                        commit(order[i], outcome)
-                        pos += 1
-            executions.append(
-                ExecutionResult(
-                    results=[results_by_index[i] for i in range(len(order))],
-                    reports=[reports_by_index[i] for i in range(len(order))],
-                )
-            )
-        else:
-            batches = scheduler.schedule(
-                pending, memory_budget_entries=plan.memory_budget_entries
-            )
-            for batch in batches:
-                injector = (
-                    None
-                    if failure_injector is None
-                    else _RankMappedInjector(
-                        tuple((i, t.rank) for i, t in enumerate(batch)),
-                        failure_injector,
-                    )
-                )
-                work = [make_work(t) for t in batch]
-                span_cm = (
-                    tracer.span("engine.batch", ranks=len(batch))
-                    if tracer is not None
-                    else nullcontext()
-                )
-                with span_cm:
-                    execution = executor.run(
-                        _run_rank_task, work, injector=injector
-                    )
-                executions.append(execution)
-                for task, outcome in zip(batch, execution.results):
-                    commit(task, outcome)
+        max_in_flight = getattr(scheduler, "max_in_flight", None)
+        if max_in_flight is None:
+            if elastic:
+                # The window must track the *live* membership as workers
+                # join and leave; run_iter re-evaluates the callable
+                # before each submission (clamped >= 1 so an empty pool
+                # queues instead of stalling).
+                max_in_flight = executor.backend.worker_count
+            else:
+                max_in_flight = backend_worker_count(executor.backend)
+        results_by_index: Dict[int, TaskOutcome] = {}
+        reports_by_index: Dict[int, RankReport] = {}
+        span_cm = (
+            tracer.span("engine.dispatch", ranks=len(order), groups=len(groups))
+            if tracer is not None
+            else nullcontext()
+        )
+        with span_cm:
+            for done in executor.run_iter(
+                _run_rank_task,
+                work,
+                injector=injector,
+                max_in_flight=max_in_flight,
+                submit_hook=submit_hook,
+            ):
+                queue_depth_peak = max(queue_depth_peak, done.in_flight)
+                results_by_index[done.index] = done.value
+                reports_by_index[done.index] = done.report
+                buffered[done.index] = done.value
+                buffered_entries += order[done.index].estimated_entries
+                while pos < len(commit_seq) and commit_seq[pos] in buffered:
+                    i = commit_seq[pos]
+                    outcome = buffered.pop(i)
+                    buffered_entries -= order[i].estimated_entries
+                    commit(order[i], outcome)
+                    pos += 1
+                    uncommitted[group_of[i]] -= 1
+                    while (
+                        open_group < len(groups)
+                        and uncommitted[open_group] == 0
+                    ):
+                        open_group += 1
+        execution = ExecutionResult(
+            results=[results_by_index[i] for i in range(len(order))],
+            reports=[reports_by_index[i] for i in range(len(order))],
+        )
     except (StorageError, FatalRankError, RetryExhaustedError) as exc:
         # Storage is unusable or a rank is unrecoverable: let the sink
         # leave clean state behind (ShardSink commits a `failed`
@@ -592,27 +622,21 @@ def execute(
                 metrics.gauge("engine.shm_leaked").set(len(leaked))
     elapsed = time.perf_counter() - t0
     if metrics is not None:
-        if streaming:
+        if hasattr(scheduler, "max_in_flight"):
+            # A work queue (a scheduler sizing its own in-flight window)
+            # reports its peak depth; static groups keep the gauge at 0.
             metrics.gauge("engine.queue_depth").set(queue_depth_peak)
-        from repro.parallel.backends import backend_worker_count
-
         workers = backend_worker_count(executor.backend)
         # Busy time counts every attempt (retries included): it is what
         # the workers actually did with the wall-clock they had.
-        busy = sum(
-            a.elapsed_s
-            for ex in executions
-            for r in ex.reports
-            for a in r.attempts
-        )
+        busy = sum(a.elapsed_s for r in execution.reports for a in r.attempts)
         if elapsed > 0:
             metrics.gauge("engine.worker_utilization").set(
                 min(1.0, busy / (workers * elapsed))
             )
         finals = [
             r.elapsed_s
-            for ex in executions
-            for r in ex.reports
+            for r in execution.reports
             if r.attempts and r.attempts[-1].ok
         ]
         if len(finals) >= 2:
@@ -626,6 +650,6 @@ def execute(
         sink_result=sink_result,
         stats=tuple(stats),
         skipped_ranks=skipped,
-        executions=tuple(executions),
+        execution=execution,
         elapsed_s=elapsed,
     )

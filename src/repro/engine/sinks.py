@@ -303,7 +303,7 @@ class Sink:
     ``_commit`` / ``_abort`` / ``_finalize`` hooks subclasses override.
     The enforced contract (what the conformance suite asserts):
 
-    * ``abort`` is **idempotent** — the streaming reorder-buffer path and
+    * ``abort`` is **idempotent** — the reorder-buffer loop and
       ``execute()``'s outer handler can both observe one failure, so a
       second (or later) ``abort`` is a no-op, as is ``abort`` after
       ``finalize`` or before ``open``;

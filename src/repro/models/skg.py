@@ -52,6 +52,12 @@ if TYPE_CHECKING:
 #: Graph500's reference initiator matrix.
 GRAPH500_INITIATOR: Tuple[float, float, float, float] = (0.57, 0.19, 0.19, 0.05)
 
+#: Deepest recursion whose vertex ids (``< 2**levels``) fit in int64.
+MAX_LEVELS = 63
+
+#: Edge indices and counters are int64: ``num_edges`` must stay below this.
+MAX_EDGES = 1 << 63
+
 _MASK = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 _GOLDEN64 = np.uint64(_GOLDEN)
@@ -123,6 +129,14 @@ class StochasticKroneckerModel:
         if self.num_edges < 0:
             raise GenerationError(
                 f"num_edges must be >= 0, got {self.num_edges}"
+            )
+        if self.levels > MAX_LEVELS or self.num_edges >= MAX_EDGES:
+            raise GenerationError(
+                f"levels={self.levels}, num_edges={self.num_edges} is past "
+                f"int64 generation (levels <= {MAX_LEVELS}, num_edges < "
+                "2**63): vertex ids or edge counters would wrap; compute "
+                "the design's properties without generating via "
+                "repro.catalog.analytic_properties"
             )
         probs = tuple(float(p) for p in self.initiator)
         if len(probs) != 4:

@@ -1,14 +1,11 @@
 """Execution backends for the simulated ranks.
 
-A backend maps a per-rank work function over rank inputs; the formal
-contract is :class:`repro.typing.Backend` (``name`` + ``map(fn, items)``
-plus an optional ``shutdown()``).  All three shipped backends also
-satisfy :class:`repro.typing.StreamingBackend` — ``submit(fn, item)``
-returning a handle plus ``as_completed(handles)`` yielding handles in
-completion order — which is what the engine's completion-driven
-work-queue path runs on.  ``map`` is *derived* from ``submit`` where
-that costs nothing (serial, thread), so the two surfaces can never
-disagree.  Three implementations ship:
+A backend runs one per-rank work function per ``submit(fn, item)``
+call and hands back a handle; ``as_completed(handles)`` yields those
+handles in completion order.  That pair (plus ``name`` and an optional
+``shutdown()``) is the whole contract, :class:`repro.typing.Backend`,
+and it is all the engine's one dispatch loop uses.  Three
+implementations ship:
 
 * :class:`SerialBackend` — ranks one after another in-process
   (deterministic, zero overhead — the default for validation);
@@ -22,12 +19,14 @@ disagree.  Three implementations ship:
 
 A fourth registry entry, ``"elastic"``, resolves to
 :class:`repro.runtime.elastic.ElasticWorkerPool` — a membership layer
-over a streaming inner backend whose workers can join, drain, or be
-revoked mid-run (byte-identical output under churn).
+over an inner backend whose workers can join, drain, or be revoked
+mid-run (byte-identical output under churn).
 
 Backends are registered by name; :func:`get_backend` is what the CLI's
 ``--backend`` flag and the generator's string-accepting entry points use;
-:func:`make_backend` additionally sizes the worker pool.
+:func:`make_backend` additionally sizes the worker pool.  Pools start
+lazily on the first ``submit`` and live until ``shutdown()``: whoever
+resolved a backend from a name owns it and shuts it down.
 """
 
 from __future__ import annotations
@@ -64,9 +63,9 @@ def backend_worker_count(backend: Backend) -> int:
 class _ImmediateHandle:
     """Handle for work executed eagerly at submit time (serial path).
 
-    A map-only or serial backend has no worker to defer to, so
-    ``submit`` runs the item in the caller and the handle just replays
-    the captured value or exception.
+    The serial backend has no worker to defer to, so ``submit`` runs the
+    item in the caller and the handle just replays the captured value or
+    exception.
     """
 
     __slots__ = ("_value", "_error")
@@ -97,8 +96,7 @@ class SerialBackend:
 
     ``submit`` executes eagerly (there is no worker to hand off to), so
     ``as_completed`` order equals submission order — which is what makes
-    the serial backend the deterministic reference for the streaming
-    execution path too.
+    the serial backend the deterministic reference for every scheduler.
     """
 
     name = "serial"
@@ -110,10 +108,6 @@ class SerialBackend:
         self, handles: Sequence[WorkHandle]
     ) -> Iterator[WorkHandle]:
         return iter(handles)
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        # Derived from submit: the two surfaces cannot diverge.
-        return [self.submit(fn, item).result() for item in items]
 
 
 class ThreadBackend:
@@ -148,12 +142,6 @@ class ThreadBackend:
     ) -> Iterator[WorkHandle]:
         return _futures_as_completed(handles)
 
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        # Derived from submit (submit everything, collect in order) so
-        # the two surfaces share one pool and cannot diverge.
-        handles = [self.submit(fn, item) for item in items]
-        return [h.result() for h in handles]
-
     def shutdown(self) -> None:
         if self._pool is not None:
             self._pool.shutdown(wait=True)
@@ -180,11 +168,9 @@ class MultiprocessingBackend:
     defaults to :func:`default_start_method` — ``fork`` where available,
     falling back to ``spawn`` on platforms without it.
 
-    ``map`` keeps its historical pool-per-call shape (sized to the work
-    list, torn down afterwards — no pool ever leaks); ``submit`` /
-    ``as_completed`` need workers that outlive a single call, so they
-    lazily start a persistent :class:`~concurrent.futures.ProcessPoolExecutor`
-    that is released by ``shutdown()``.
+    The first ``submit`` starts a persistent
+    :class:`~concurrent.futures.ProcessPoolExecutor` of ``processes``
+    workers; ``shutdown()`` releases it.
 
     ``zero_copy`` (default True) advertises the ``zero_copy_tiles``
     capability: for triples-payload sinks the engine then moves tiles
@@ -252,20 +238,6 @@ class MultiprocessingBackend:
         self, handles: Sequence[WorkHandle]
     ) -> Iterator[WorkHandle]:
         return _futures_as_completed(handles)
-
-    def map(self, fn: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        import multiprocessing as mp
-
-        items = list(items)
-        if not items:
-            return []
-        # A pool larger than the work list is wasted fork/spawn cost.
-        procs = min(self.processes, len(items))
-        try:
-            with mp.get_context(self.start_method).Pool(processes=procs) as pool:
-                return pool.map(fn, items)
-        except (OSError, ValueError) as exc:  # pragma: no cover - env specific
-            raise GenerationError(f"multiprocessing backend failed: {exc}") from exc
 
     def shutdown(self) -> None:
         if self._executor is not None:

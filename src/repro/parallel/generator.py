@@ -95,7 +95,7 @@ class ParallelKroneckerGenerator:
         every executor-related argument above.
     scheduler:
         How ranks are ordered and dispatched; ``None`` keeps the
-        historical single all-rank batch
+        historical single all-rank group
         (:class:`~repro.engine.scheduler.StaticScheduler`), a
         :class:`~repro.engine.scheduler.WorkQueueScheduler` streams
         ranks to whichever worker frees up (output identical).
@@ -125,6 +125,9 @@ class ParallelKroneckerGenerator:
         self.chain = chain
         self.cluster = cluster
         self.backend = resolve_backend(backend)
+        # A backend resolved here from a name or None is this generator's
+        # to release after each run; a caller's instance stays open.
+        self._owns_backend = self.backend is not backend
         self.scheduler = scheduler
         self.kernel = kernel
         self.plan: PartitionPlan = partition_bc(chain, cluster, split_index=split_index)
@@ -151,7 +154,7 @@ class ParallelKroneckerGenerator:
 
         Work routes through :func:`repro.engine.execute.execute` with an
         :class:`~repro.engine.sinks.AssemblySink` and a single all-rank
-        batch (this generator's historical shape); the cluster's
+        group (this generator's historical shape); the cluster's
         ``memory_budget_entries`` doubles as the kernel tile budget, so a block
         larger than the budget is produced in bounded row-slices and the
         returned triples are byte-identical either way.
@@ -170,15 +173,19 @@ class ParallelKroneckerGenerator:
             kernel=self.kernel,
             c=c,
         )
-        result = engine_execute(
-            plan,
-            AssemblySink(),
-            executor=self.executor,
-            config=RunConfig(scheduler=self.scheduler or StaticScheduler()),
-            metrics=self.metrics,
-            failure_injector=self.failure_injector,
-        )
-        self.last_execution = result.executions[0] if result.executions else None
+        try:
+            result = engine_execute(
+                plan,
+                AssemblySink(),
+                executor=self.executor,
+                config=RunConfig(scheduler=self.scheduler or StaticScheduler()),
+                metrics=self.metrics,
+                failure_injector=self.failure_injector,
+            )
+        finally:
+            if self._owns_backend:
+                getattr(self.backend, "shutdown", lambda: None)()
+        self.last_execution = result.execution
         bp_rows = {a.rank: a.b_local.shape[0] for a in self.plan.assignments}
         bp_cols = {a.rank: a.b_local.shape[1] for a in self.plan.assignments}
         col_bases = {a.rank: a.col_base for a in self.plan.assignments}

@@ -5,7 +5,7 @@ block to its own file and downstream systems consume the files.  This
 module reproduces that pipeline end to end on one machine — since the
 engine refactor it is a thin adapter: :func:`generate_to_disk` is
 :func:`repro.engine.execute.execute` over a
-:class:`~repro.engine.sinks.ShardSink` with one-rank batches, and
+:class:`~repro.engine.sinks.ShardSink` with one-rank groups, and
 :func:`streamed_degree_distribution` the same over a
 :class:`~repro.engine.sinks.DegreeSink`.  Memory now obeys the budget
 *within* a rank too: blocks larger than ``memory_budget_entries`` are
@@ -215,7 +215,7 @@ def generate_to_disk(
     sink = ShardSink(
         directory, prefix=prefix, resume=cfg.resume, crash_hook=crash_hook
     )
-    # One-rank batches by default: the sink commits after every rank and
+    # One-rank groups by default: the sink commits after every rank and
     # at most one rank's results are held between commits.
     engine_config = RunConfig(
         backend=cfg.backend,

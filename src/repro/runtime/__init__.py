@@ -10,11 +10,11 @@ is the execution/observability layer the rest of the system plugs into:
   sink (in-memory ring buffer by default);
 * :mod:`repro.runtime.executor` — :class:`RankExecutor`: per-rank
   timeout, bounded retry with exponential backoff + jitter, transient vs
-  fatal failure classification, straggler detection; both batch
-  (``run``) and completion-streaming (``run_iter``) surfaces;
+  fatal failure classification, straggler detection, all in one
+  completion-driven method (``run_iter``);
 * :mod:`repro.runtime.events` — progress callbacks the CLI consumes for
   live per-rank output;
-* :mod:`repro.runtime.elastic` — :class:`ElasticWorkerPool`: a streaming
+* :mod:`repro.runtime.elastic` — :class:`ElasticWorkerPool`: a
   backend whose members join, drain, or are revoked mid-run, with a
   lease/heartbeat layer and the :class:`WorkerRevoker` chaos adversary
   (byte-identical output under any churn schedule);
@@ -57,7 +57,6 @@ from repro.runtime.executor import (
     RankExecutor,
     RankReport,
     TaskCompletion,
-    as_streaming,
 )
 from repro.runtime.metrics import (
     DEFAULT_BUCKETS,
@@ -112,7 +111,6 @@ __all__ = [
     "RankReport",
     "RankAttempt",
     "TaskCompletion",
-    "as_streaming",
     "FailureInjector",
     "RankEvents",
     "ConsoleProgress",

@@ -4,7 +4,7 @@ The paper's premise (arXiv:1803.01281) is that every tile of a Kronecker
 power-law graph is deterministically addressable from the design
 fingerprint, rank, and tile index — any tile can be recomputed anywhere,
 any time, with no coordination.  :class:`ElasticWorkerPool` cashes that
-in for preemptible capacity: a streaming backend whose members can
+in for preemptible capacity: a backend whose members can
 **join** (:meth:`~ElasticWorkerPool.add_workers`), **leave gracefully**
 (:meth:`~ElasticWorkerPool.remove_workers` — in-flight work finishes,
 no new dispatch) or **vanish abruptly**
@@ -16,7 +16,7 @@ Design notes:
 
 * **Logical members, physical inner backend.**  The pool tracks
   *membership* (who may hold a task lease) and delegates *computation*
-  to any streaming inner backend (thread / multiprocessing / serial).
+  to any inner backend (thread / multiprocessing / serial).
   Revoking a member therefore never needs to kill a thread: the
   member's lease is voided, its handle resolves to
   :class:`~repro.errors.WorkerLostError`, and any late result from the
@@ -64,7 +64,7 @@ from typing import (
 )
 
 from repro.errors import FatalRankError, GenerationError, WorkerLostError
-from repro.typing import StreamingBackend, WorkHandle
+from repro.typing import Backend, WorkHandle
 
 __all__ = [
     "ChurnAction",
@@ -82,10 +82,6 @@ DEFAULT_POLL_INTERVAL_S = 0.005
 
 #: Seconds of queued-work-with-no-workers before the pool declares a stall.
 DEFAULT_STALL_TIMEOUT_S = 30.0
-
-#: Internal reassignment cap for :meth:`ElasticWorkerPool.map` (the
-#: streaming path's cap lives on :class:`~repro.runtime.RankExecutor`).
-DEFAULT_MAP_REASSIGNMENTS = 16
 
 #: ``scale_policy(stats) -> target worker count | None`` (None = no change).
 ScalePolicy = Callable[["PoolStats"], Optional[int]]
@@ -168,12 +164,12 @@ class _Member:
 
 
 class ElasticWorkerPool:
-    """A :class:`~repro.typing.ElasticBackend` over any streaming inner.
+    """A :class:`~repro.typing.ElasticBackend` over any inner backend.
 
     Parameters
     ----------
     inner:
-        Streaming backend that actually runs tasks.  Defaults to a
+        Backend that actually runs tasks.  Defaults to a
         lazily created :class:`~repro.parallel.backends.ThreadBackend`
         sized generously (threads spawn on demand), so the *logical*
         membership — not the inner pool — bounds concurrency.
@@ -201,7 +197,7 @@ class ElasticWorkerPool:
 
     def __init__(
         self,
-        inner: Optional[StreamingBackend] = None,
+        inner: Optional[Backend] = None,
         *,
         workers: int = 2,
         lease_timeout_s: float = DEFAULT_LEASE_TIMEOUT_S,
@@ -402,8 +398,8 @@ class ElasticWorkerPool:
     @property
     def max_workers(self) -> int:
         """Current eligible-member count (lets
-        :func:`~repro.parallel.backends.backend_worker_count` size
-        batches for the pool like for any other backend)."""
+        :func:`~repro.parallel.backends.backend_worker_count` size the
+        in-flight window for the pool like for any other backend)."""
         return self.worker_count()
 
     def stats(self) -> PoolStats:
@@ -656,36 +652,6 @@ class ElasticWorkerPool:
                 self.remove_workers(current - target)
         finally:
             self._scaling = False
-
-    # -- batch surface ---------------------------------------------------------
-    def map(self, fn: Callable, items: Sequence) -> List:
-        """Order-preserving map with transparent reassignment: tasks
-        whose worker vanished are resubmitted (bounded by
-        ``DEFAULT_MAP_REASSIGNMENTS``) so the batch execution path works
-        under churn without executor involvement."""
-        items = list(items)
-        results: List = [None] * len(items)
-        remaining: Dict[WorkHandle, int] = {}
-        reassignments = [0] * len(items)
-        for index, item in enumerate(items):
-            remaining[self.submit(fn, item)] = index
-        while remaining:
-            handle = next(iter(self.as_completed(list(remaining))))
-            index = remaining.pop(handle)
-            try:
-                results[index] = handle.result()
-            except WorkerLostError as exc:
-                reassignments[index] += 1
-                if reassignments[index] > DEFAULT_MAP_REASSIGNMENTS:
-                    raise GenerationError(
-                        f"task {index} lost its worker "
-                        f"{reassignments[index]} times (cap "
-                        f"{DEFAULT_MAP_REASSIGNMENTS}): {exc}"
-                    ) from exc
-                if self._metrics is not None:
-                    self._metrics.counter("engine.reassigned_tasks").inc()
-                remaining[self.submit(fn, items[index])] = index
-        return results
 
     # -- lifecycle -------------------------------------------------------------
     def shutdown(self) -> None:

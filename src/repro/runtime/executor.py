@@ -15,18 +15,19 @@ rank is an independently retryable, measurable unit of work.
   ``rank_timeout_s`` is *classified* as a
   :class:`~repro.errors.RankTimeoutError` (its result is discarded and
   the rank is retried);
-* **straggler detection** — ranks slower than
-  ``straggler_factor`` × the median successful time are reported;
+* **straggler detection** — a rank slower than ``straggler_factor`` ×
+  the median of the successes before it is reported (online, never
+  retroactively);
 * **observability** — per-rank durations land in a
   :class:`~repro.runtime.metrics.MetricsRegistry`, spans in a
   :class:`~repro.runtime.tracing.Tracer`, and live progress in a
   :class:`~repro.runtime.events.RankEvents` bag.
 
-Two execution surfaces share all of the above: :meth:`RankExecutor.run`
-(batch-synchronous ``Backend.map`` rounds) and
-:meth:`RankExecutor.run_iter` (completion-driven streaming over
-``submit``/``as_completed``, yielding :class:`TaskCompletion` objects as
-results land — the engine's work-queue path).
+One execution method carries all of the above:
+:meth:`RankExecutor.run_iter` submits tasks one at a time over the
+backend's ``submit``/``as_completed`` surface and yields a
+:class:`TaskCompletion` the moment each succeeds — the engine's single
+dispatch loop.
 
 Clock, sleep, and RNG are injectable, so retry/backoff behaviour is unit
 tested with a deterministic fake clock and zero real sleeping.
@@ -53,7 +54,7 @@ from repro.errors import (
 from repro.runtime.events import RankEvents
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.tracing import Span, Tracer
-from repro.typing import Backend, StreamingBackend
+from repro.typing import Backend
 
 
 class FailureInjector:
@@ -141,66 +142,6 @@ def _guarded_call(task: _Task) -> _Outcome:
     return _Outcome(
         index=task.index, ok=True, value=value, elapsed_s=task.clock() - t0
     )
-
-
-class _CompletedHandle:
-    """Handle over a value (or error) that is already known."""
-
-    __slots__ = ("_value", "_error")
-
-    def __init__(
-        self, value: object = None, error: BaseException | None = None
-    ) -> None:
-        self._value = value
-        self._error = error
-
-    def result(self) -> object:
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
-class _MapStreamingAdapter:
-    """Present a map-only :class:`~repro.typing.Backend` as streaming.
-
-    ``submit`` pushes the single item through the backend's own ``map``
-    eagerly, so nothing actually overlaps — but a third-party backend
-    that only implements ``map`` still runs correctly (if serially)
-    under the completion-driven execution path.  This adapter lives in
-    :mod:`repro.runtime` (not :mod:`repro.parallel`) because the
-    executor must not import the higher backend layer.
-    """
-
-    def __init__(self, backend: Backend) -> None:
-        self._backend = backend
-        self.name = backend.name
-
-    def map(self, fn: Callable, items: Sequence) -> List:
-        return self._backend.map(fn, items)
-
-    def submit(self, fn: Callable, item: object) -> _CompletedHandle:
-        try:
-            return _CompletedHandle(value=self._backend.map(fn, [item])[0])
-        except BaseException as exc:
-            return _CompletedHandle(error=exc)
-
-    def as_completed(self, handles: Sequence) -> Iterator:
-        return iter(handles)
-
-    def shutdown(self) -> None:
-        getattr(self._backend, "shutdown", lambda: None)()
-
-
-def as_streaming(backend: Backend) -> StreamingBackend:
-    """Return ``backend`` if it already streams, else wrap it.
-
-    The wrapper (:class:`_MapStreamingAdapter`) derives ``submit`` /
-    ``as_completed`` from ``map`` — correct for any conforming backend,
-    with no concurrency of its own.
-    """
-    if isinstance(backend, StreamingBackend):
-        return backend
-    return _MapStreamingAdapter(backend)
 
 
 @dataclass(frozen=True)
@@ -300,8 +241,9 @@ class RankExecutor:
     rank_timeout_s:
         Cooperative per-rank timeout; ``None`` disables it.
     straggler_factor:
-        Ranks slower than this multiple of the median successful elapsed
-        are flagged (and reported via ``events.on_straggler``).
+        A rank slower than this multiple of the median elapsed of the
+        successes before it is flagged (and reported via
+        ``events.on_straggler``).
     backoff_base_s / backoff_cap_s / jitter:
         Retry delay is ``min(cap, base * 2**attempt) * (1 + jitter * U)``
         with ``U ~ Uniform[0, 1)`` from the injectable ``rng``.
@@ -388,108 +330,6 @@ class RankExecutor:
         return outcome
 
     # -- execution -----------------------------------------------------------
-    def run(
-        self,
-        fn: Callable,
-        items: Sequence,
-        *,
-        injector: Callable[[int, int], None] | None = None,
-    ) -> ExecutionResult:
-        """Run ``fn`` over ``items``, retrying transient failures.
-
-        Returns results in item order.  Raises
-        :class:`~repro.errors.FatalRankError` on a fatal failure and
-        :class:`~repro.errors.RetryExhaustedError` when a rank keeps
-        failing past its retry budget.
-        """
-        items = list(items)
-        n = len(items)
-        results: List = [None] * n
-        reports = [RankReport(rank=i) for i in range(n)]
-        if self.metrics is not None:
-            self.metrics.gauge("ranks.total").set(n)
-
-        def execute() -> None:
-            pending = list(range(n))
-            attempt = 0
-            while pending:
-                for i in pending:
-                    self.events.rank_start(i, attempt)
-                tasks = [
-                    _Task(
-                        index=i,
-                        fn=fn,
-                        item=items[i],
-                        attempt=attempt,
-                        clock=self._clock,
-                        injector=injector,
-                    )
-                    for i in pending
-                ]
-                outcomes = [self._classify(o) for o in self.backend.map(_guarded_call, tasks)]
-                retry_delay = 0.0
-                next_pending: List[int] = []
-                for outcome in outcomes:
-                    idx = outcome.index
-                    reports[idx].attempts.append(
-                        RankAttempt(
-                            attempt=attempt,
-                            ok=outcome.ok,
-                            elapsed_s=outcome.elapsed_s,
-                            error=outcome.error_text,
-                        )
-                    )
-                    if outcome.ok:
-                        results[idx] = outcome.value
-                        if self.metrics is not None:
-                            self.metrics.counter("ranks.completed").inc()
-                            self.metrics.histogram("rank.elapsed_s").observe(
-                                outcome.elapsed_s
-                            )
-                        self.events.rank_done(idx, outcome.elapsed_s, attempt)
-                        continue
-                    if outcome.error_kind == "fatal":
-                        if self.metrics is not None:
-                            self.metrics.counter("ranks.failed_fatal").inc()
-                        raise FatalRankError(
-                            f"rank {idx} failed fatally on attempt "
-                            f"{attempt + 1}: {outcome.error_text}"
-                        )
-                    if attempt >= self.max_retries:
-                        if self.metrics is not None:
-                            self.metrics.counter("ranks.failed_exhausted").inc()
-                        raise RetryExhaustedError(
-                            f"rank {idx} failed {attempt + 1} time(s), retry "
-                            f"budget {self.max_retries} exhausted: "
-                            f"{outcome.error_text}"
-                        )
-                    if self.metrics is not None:
-                        self.metrics.counter("ranks.retried").inc()
-                        if outcome.error_kind == "timeout":
-                            self.metrics.counter("ranks.timeout").inc()
-                    delay = self.backoff_delay(attempt)
-                    retry_delay = max(retry_delay, delay)
-                    error: TransientRankError = (
-                        RankTimeoutError(outcome.error_text)
-                        if outcome.error_kind == "timeout"
-                        else TransientRankError(outcome.error_text)
-                    )
-                    self.events.retry(idx, attempt, delay, error)
-                    next_pending.append(idx)
-                if next_pending:
-                    self._sleep(retry_delay)
-                pending = next_pending
-                attempt += 1
-
-        if self.tracer is not None:
-            with self.tracer.span("executor.run", ranks=n, backend=self.backend.name):
-                execute()
-        else:
-            execute()
-
-        self._flag_stragglers(reports)
-        return ExecutionResult(results=results, reports=reports)
-
     def run_iter(
         self,
         fn: Callable,
@@ -501,21 +341,18 @@ class RankExecutor:
     ) -> Iterator[TaskCompletion]:
         """Run ``fn`` over ``items``, yielding completions as they land.
 
-        The streaming counterpart of :meth:`run`: instead of mapping a
-        whole batch and barriering, tasks are submitted individually
-        (``max_in_flight`` at a time, default = the full item count) and
-        a :class:`TaskCompletion` is yielded the moment each succeeds —
-        in *completion* order, not item order.  Retry, backoff, timeout
-        classification, and metrics/events match :meth:`run` task for
-        task, with two streaming-specific differences:
-
-        * retries are per-task — one failing task delays only itself
-          (the retry backoff sleep runs in the coordinator, so already
-          in-flight work keeps running underneath it);
-        * straggler flagging is *online*: a completion is compared
-          against the running median of successes so far (needs at
-          least two earlier successes), so early finishers are never
-          flagged retroactively.
+        Tasks are submitted individually (``max_in_flight`` at a time,
+        default = the full item count) and a :class:`TaskCompletion` is
+        yielded the moment each succeeds — in *completion* order, not
+        item order.  Transient failures are retried per task with
+        exponential backoff — one failing task delays only itself (the
+        backoff sleep runs in the coordinator, so already in-flight work
+        keeps running underneath it) — and an attempt over
+        ``rank_timeout_s`` is classified as a timeout and retried.
+        Straggler flagging is *online*: a completion is compared against
+        the running median of successes so far (needs at least two
+        earlier successes), so early finishers are never flagged
+        retroactively.
 
         ``submit_hook`` lets the caller steer submission order and apply
         backpressure: it receives the tuple of not-yet-submitted item
@@ -537,9 +374,9 @@ class RankExecutor:
         those of a churn-free run.  Reassignments are capped by
         ``max_reassignments`` and counted in ``engine.reassigned_tasks``.
 
-        Map-only backends are adapted via :func:`as_streaming` (they run
-        correctly but without overlap).  Raises exactly like
-        :meth:`run` on fatal or retry-exhausted failures.
+        Raises :class:`~repro.errors.FatalRankError` on a fatal failure
+        and :class:`~repro.errors.RetryExhaustedError` when a task keeps
+        failing past its retry budget.
         """
         items = list(items)
         n = len(items)
@@ -558,7 +395,6 @@ class RankExecutor:
         reports = [RankReport(rank=i) for i in range(n)]
         if self.metrics is not None:
             self.metrics.gauge("ranks.total").set(n)
-        backend = as_streaming(self.backend)
         pending: List[int] = list(range(n))
         attempts: Dict[int, int] = {i: 0 for i in range(n)}
         reassignments: Dict[int, int] = {i: 0 for i in range(n)}
@@ -578,7 +414,7 @@ class RankExecutor:
                     attributes={
                         "task": idx,
                         "attempt": attempt,
-                        "backend": backend.name,
+                        "backend": self.backend.name,
                     },
                     parent="executor.run_iter",
                     depth=1,
@@ -591,7 +427,7 @@ class RankExecutor:
                 clock=self._clock,
                 injector=injector,
             )
-            in_flight[backend.submit(_guarded_call, task)] = idx
+            in_flight[self.backend.submit(_guarded_call, task)] = idx
 
         def fill() -> None:
             while pending and len(in_flight) < limit():
@@ -614,7 +450,7 @@ class RankExecutor:
             run_span = Span(
                 name="executor.run_iter",
                 start_s=self._clock(),
-                attributes={"ranks": n, "backend": backend.name},
+                attributes={"ranks": n, "backend": self.backend.name},
             )
         try:
             completed = 0
@@ -626,7 +462,7 @@ class RankExecutor:
                         f"flight but {len(pending)} task(s) unsubmitted"
                     )
                 depth = len(in_flight)
-                handle = next(iter(backend.as_completed(list(in_flight))))
+                handle = next(iter(self.backend.as_completed(list(in_flight))))
                 idx = in_flight.pop(handle)
                 attempt = attempts[idx]
                 try:
@@ -736,19 +572,3 @@ class RankExecutor:
             if run_span is not None:
                 run_span.end_s = self._clock()
                 self.tracer.sink.record(run_span)
-
-    def _flag_stragglers(self, reports: List[RankReport]) -> None:
-        """Flag ranks whose final elapsed exceeds k× the median."""
-        elapsed = [r.elapsed_s for r in reports if r.attempts and r.attempts[-1].ok]
-        if len(elapsed) < 2:
-            return
-        median = statistics.median(elapsed)
-        if median <= 0:
-            return
-        threshold = self.straggler_factor * median
-        for r in reports:
-            if r.attempts and r.attempts[-1].ok and r.elapsed_s > threshold:
-                r.straggler = True
-                if self.metrics is not None:
-                    self.metrics.counter("ranks.stragglers").inc()
-                self.events.straggler(r.rank, r.elapsed_s, median)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from typing import (
     Callable,
-    List,
     Protocol,
     Sequence,
     Tuple,
@@ -32,33 +31,6 @@ _R_co = TypeVar("_R_co", covariant=True)
 
 
 @runtime_checkable
-class Backend(Protocol):
-    """The formal contract every execution backend satisfies.
-
-    A backend maps a per-rank work function over rank inputs and returns
-    the results in input order.  Implementations may additionally expose
-    ``shutdown()`` to release pooled resources; callers must treat it as
-    optional (``getattr(backend, "shutdown", lambda: None)()``).
-
-    ``map`` is the minimal surface; backends that can overlap work
-    should also satisfy :class:`StreamingBackend` (``submit`` /
-    ``as_completed``), which the completion-driven execution path uses.
-    Backends implementing only ``map`` still work everywhere — the
-    executor adapts them (see
-    :func:`repro.runtime.executor.as_streaming`).
-    """
-
-    #: Registry key and display name ("serial", "thread", ...).
-    name: str
-
-    def map(
-        self, fn: Callable[[_T_contra], _R_co], items: Sequence[_T_contra]
-    ) -> List[_R_co]:
-        """Apply ``fn`` to every item, preserving order."""
-        ...
-
-
-@runtime_checkable
 class WorkHandle(Protocol):
     """A submitted unit of work (``concurrent.futures.Future``-shaped).
 
@@ -70,23 +42,19 @@ class WorkHandle(Protocol):
 
 
 @runtime_checkable
-class StreamingBackend(Protocol):
-    """A backend that can hand out work one item at a time.
+class Backend(Protocol):
+    """The formal contract every execution backend satisfies.
 
-    Extends :class:`Backend` with completion-driven submission:
     ``submit`` starts one item and returns a :class:`WorkHandle`;
     ``as_completed`` yields handles in the order they *finish* (not the
-    order they were submitted) — the primitive behind the engine's
-    work-queue scheduler.  ``map`` remains available (for the built-in
-    backends it is derived from ``submit``), so a streaming backend is
-    always also a plain :class:`Backend`.
+    order they were submitted) — the primitive behind the engine's one
+    dispatch loop.  Implementations may additionally expose
+    ``shutdown()`` to release pooled resources; callers must treat it as
+    optional (``getattr(backend, "shutdown", lambda: None)()``).
     """
 
+    #: Registry key and display name ("serial", "thread", ...).
     name: str
-
-    def map(
-        self, fn: Callable[[_T_contra], _R_co], items: Sequence[_T_contra]
-    ) -> List[_R_co]: ...
 
     def submit(
         self, fn: Callable[[_T_contra], _R_co], item: _T_contra
@@ -100,11 +68,11 @@ class StreamingBackend(Protocol):
 
 
 @runtime_checkable
-class ElasticBackend(Protocol):
-    """A streaming backend whose worker pool can change mid-run.
+class ElasticBackend(Backend, Protocol):
+    """A backend whose worker pool can change mid-run.
 
-    Extends :class:`StreamingBackend` with membership operations: the
-    pool can **grow** (``add_workers``), **shrink gracefully**
+    Extends :class:`Backend` with membership operations: the pool can
+    **grow** (``add_workers``), **shrink gracefully**
     (``remove_workers`` — in-flight tasks finish, no new dispatch), or
     **lose members abruptly** (``revoke_workers`` — spot-style kill,
     in-flight tasks are lost and surface as
@@ -118,18 +86,6 @@ class ElasticBackend(Protocol):
     The reference implementation is
     :class:`repro.runtime.elastic.ElasticWorkerPool`.
     """
-
-    name: str
-
-    def map(
-        self, fn: Callable[[_T_contra], _R_co], items: Sequence[_T_contra]
-    ) -> List[_R_co]: ...
-
-    def submit(
-        self, fn: Callable[[_T_contra], _R_co], item: _T_contra
-    ) -> WorkHandle: ...
-
-    def as_completed(self, handles: Sequence[WorkHandle]): ...
 
     def worker_count(self) -> int:
         """Members currently alive and accepting new dispatches."""

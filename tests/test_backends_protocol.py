@@ -15,7 +15,7 @@ from repro.parallel import (
     list_backends,
     resolve_backend,
 )
-from repro.typing import Backend, StreamingBackend
+from repro.typing import Backend
 
 ALL_BACKENDS = [SerialBackend, ThreadBackend, MultiprocessingBackend]
 
@@ -42,21 +42,14 @@ class TestProtocolConformance:
     def test_has_registry_name(self, backend):
         assert backend.name in list_backends()
 
-    def test_map_preserves_order(self, backend):
-        assert backend.map(_square, [3, 1, 2]) == [9, 1, 4]
-
-    def test_map_empty(self, backend):
-        assert backend.map(_square, []) == []
-
-    def test_map_accepts_any_sequence(self, backend):
-        assert backend.map(_square, (2, 4)) == [4, 16]
-
 
 class TestStreamingConformance:
     """The submit/as_completed surface every shipped backend carries."""
 
     def test_satisfies_streaming_protocol(self, backend):
-        assert isinstance(backend, StreamingBackend)
+        # The one Backend protocol is the streaming surface itself.
+        assert isinstance(backend, Backend)
+        assert callable(backend.submit) and callable(backend.as_completed)
 
     def test_submit_result_round_trip(self, backend):
         assert backend.submit(_square, 7).result() == 49
@@ -71,12 +64,6 @@ class TestStreamingConformance:
         done = list(backend.as_completed(handles))
         assert sorted(h.result() for h in done) == [0, 1, 4, 9, 16]
         assert len(done) == len(handles)
-
-    def test_map_agrees_with_submit(self, backend):
-        items = [3, 1, 4, 1, 5]
-        via_map = backend.map(_square, items)
-        via_submit = [backend.submit(_square, i).result() for i in items]
-        assert via_map == via_submit
 
     def test_worker_count_positive(self, backend):
         assert backend_worker_count(backend) >= 1
@@ -93,13 +80,10 @@ class TestBackendWorkerCount:
         assert backend_worker_count(MultiprocessingBackend(processes=2)) == 2
 
     def test_unknown_backend_defaults_to_one(self):
-        class MapOnly:
-            name = "map-only"
+        class Unsized:
+            name = "unsized"
 
-            def map(self, fn, items):
-                return [fn(i) for i in items]
-
-        assert backend_worker_count(MapOnly()) == 1
+        assert backend_worker_count(Unsized()) == 1
 
 
 class TestRegistry:
@@ -150,7 +134,10 @@ class TestMultiprocessingStartMethod:
             pytest.skip(f"start method {method!r} unavailable on this platform")
         backend = MultiprocessingBackend(processes=2, start_method=method)
         assert backend.start_method == method
-        assert backend.map(_square, [3, 1, 2]) == [9, 1, 4]
+        try:
+            assert backend.submit(_square, 3).result() == 9
+        finally:
+            backend.shutdown()
 
 
 class TestMultiprocessingSubmit:
@@ -163,18 +150,13 @@ class TestMultiprocessingSubmit:
             backend.shutdown()
         assert backend._executor is None
 
-    def test_map_does_not_start_persistent_executor(self):
-        backend = MultiprocessingBackend(processes=2)
-        assert backend.map(_square, [2, 3]) == [4, 9]
-        assert backend._executor is None
-
 
 class TestThreadBackend:
     def test_pool_reused_until_shutdown(self):
         backend = ThreadBackend(max_workers=2)
-        backend.map(_square, [1, 2])
+        backend.submit(_square, 1).result()
         pool = backend._pool
-        backend.map(_square, [3])
+        backend.submit(_square, 3).result()
         assert backend._pool is pool
         backend.shutdown()
         assert backend._pool is None

@@ -89,39 +89,17 @@ class TestScheduler:
 
     def test_default_is_one_batch_in_rank_order(self):
         tasks = self._tasks([5, 5, 5])
-        batches = StaticScheduler().schedule(list(reversed(tasks)))
+        batches = StaticScheduler().order(list(reversed(tasks)))
         assert batches == [tuple(tasks)]
 
     def test_batch_size_partitions_evenly(self):
         tasks = self._tasks([1] * 5)
-        batches = StaticScheduler(batch_size=2).schedule(tasks)
+        batches = StaticScheduler(batch_size=2).order(tasks)
         assert [len(b) for b in batches] == [2, 2, 1]
-
-    def test_group_by_budget_packs_consecutively(self):
-        tasks = self._tasks([30, 30, 50, 10])
-        batches = StaticScheduler(group_by_budget=True).schedule(
-            tasks, memory_budget_entries=60
-        )
-        assert [[t.rank for t in b] for b in batches] == [[0, 1], [2, 3]]
-
-    def test_oversized_task_gets_its_own_batch(self):
-        tasks = self._tasks([100, 10])
-        batches = StaticScheduler(group_by_budget=True).schedule(
-            tasks, memory_budget_entries=60
-        )
-        assert [[t.rank for t in b] for b in batches] == [[0], [1]]
-
-    def test_group_by_budget_requires_budget(self):
-        with pytest.raises(GenerationError):
-            StaticScheduler(group_by_budget=True).schedule(self._tasks([1]))
 
     def test_invalid_batch_size_rejected(self):
         with pytest.raises(GenerationError):
             StaticScheduler(batch_size=0)
-
-    def test_knobs_mutually_exclusive(self):
-        with pytest.raises(GenerationError):
-            StaticScheduler(batch_size=2, group_by_budget=True)
 
 
 class TestPartitionEdgeCases:

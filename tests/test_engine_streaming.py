@@ -173,3 +173,119 @@ class TestInjectorMapping:
                 scheduler=WorkQueueScheduler(),
                 failure_injector=FailureInjector([2], fatal=True),
             )
+
+
+class TestGroupBarrier:
+    """Every scheduler runs the one dispatch loop; static groups are
+    barriers inside it."""
+
+    def test_next_batch_starts_only_after_previous_commits(self):
+        from repro.engine import (
+            AssemblySink,
+            RunConfig,
+            StaticScheduler,
+            execute,
+            plan_from_design,
+        )
+        from repro.runtime import RankEvents
+
+        log = []
+
+        class RecordingSink(AssemblySink):
+            def commit(self, task, outcome):
+                log.append(("commit", task.rank))
+                super().commit(task, outcome)
+
+        design = PowerLawDesign([3, 4, 5], "center")
+        plan = plan_from_design(design, 8)
+        backend = ThreadBackend(max_workers=4)
+        try:
+            result = execute(
+                plan,
+                RecordingSink(),
+                config=RunConfig(
+                    backend=backend, scheduler=StaticScheduler(batch_size=2)
+                ),
+                events=RankEvents(
+                    on_rank_start=lambda rank, attempt: log.append(("start", rank))
+                ),
+            )
+        finally:
+            backend.shutdown()
+
+        assert result.total_nnz == plan.expected_edges
+        assert [r for kind, r in log if kind == "commit"] == list(range(8))
+        for pos, (kind, rank) in enumerate(log):
+            if kind != "start":
+                continue
+            committed = {r for k, r in log[:pos] if k == "commit"}
+            earlier_batches = set(range(rank // 2 * 2))
+            assert earlier_batches <= committed, (rank, log)
+        # The barrier sits between batches only: both ranks of a batch
+        # are in flight together on the 4-worker pool.
+        for k in range(4):
+            first = log.index(("start", 2 * k))
+            assert log[first + 1] == ("start", 2 * k + 1)
+
+    def test_descending_groups_refused(self):
+        from repro.engine import AssemblySink, RunConfig, execute, plan_from_design
+        from repro.errors import GenerationError
+
+        class Backwards:
+            def order(self, tasks, *, memory_budget_entries=None):
+                return [(t,) for t in sorted(tasks, key=lambda t: -t.rank)]
+
+        plan = plan_from_design(PowerLawDesign([3, 4], "center"), 2)
+        with pytest.raises(GenerationError, match="ascend in rank"):
+            execute(plan, AssemblySink(), config=RunConfig(scheduler=Backwards()))
+
+
+class TestBackendOwnership:
+    """``execute`` shuts down a backend it resolved itself, never one the
+    caller passed in."""
+
+    @pytest.mark.parametrize("scheduler", [None, WorkQueueScheduler()])
+    def test_resolved_backend_leaves_no_live_children(self, tmp_path, scheduler):
+        import multiprocessing
+
+        from repro.engine import RunConfig
+
+        before = set(multiprocessing.active_children())
+        summary = generate_to_disk(
+            PowerLawDesign([3, 4, 5], "center"),
+            4,
+            tmp_path,
+            config=RunConfig(backend="multiprocessing", scheduler=scheduler),
+        )
+        assert summary.total_edges == PowerLawDesign([3, 4, 5], "center").num_edges
+        assert set(multiprocessing.active_children()) - before == set()
+
+    def test_generator_releases_backend_it_resolved(self):
+        import multiprocessing
+
+        design = PowerLawDesign([3, 4, 5], "center")
+        before = set(multiprocessing.active_children())
+        gen = ParallelKroneckerGenerator(
+            design.to_chain(), VirtualCluster(4), backend="multiprocessing"
+        )
+        assert gen.assemble().nnz == design.to_chain().nnz
+        assert set(multiprocessing.active_children()) - before == set()
+        # A later run on the same generator restarts the pool.
+        assert gen.assemble().nnz == design.to_chain().nnz
+
+    def test_caller_backend_stays_open_for_reuse(self, tmp_path):
+        from repro.engine import RunConfig
+        from repro.parallel import MultiprocessingBackend
+
+        design = PowerLawDesign([3, 4, 5], "center")
+        backend = MultiprocessingBackend(processes=2)
+        config = RunConfig(backend=backend, scheduler=WorkQueueScheduler())
+        try:
+            first = generate_to_disk(design, 4, tmp_path / "a", config=config)
+            pool = backend._executor
+            assert pool is not None
+            second = generate_to_disk(design, 4, tmp_path / "b", config=config)
+            assert backend._executor is pool
+        finally:
+            backend.shutdown()
+        assert _read_shards(first) == _read_shards(second)

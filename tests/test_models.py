@@ -15,6 +15,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.design import PowerLawDesign
 from repro.engine import (
@@ -153,6 +155,42 @@ class TestModelConstruction:
         with pytest.raises(GenerationError, match="unknown generator model"):
             RunConfig(model="typo")
         assert RunConfig(model="skg").model == "skg"
+
+
+class TestIndexRange:
+    """Generation refuses what int64 cannot index instead of wrapping."""
+
+    @pytest.mark.parametrize("levels", [62, 63])
+    def test_deepest_levels_give_nonnegative_ids(self, levels):
+        rows, cols, _ = StochasticKroneckerModel(
+            levels=levels, num_edges=8
+        )._generate(0, 8)
+        for ids in (rows, cols):
+            assert ids.min() >= 0
+            assert int(ids.max()) < 1 << levels
+
+    @pytest.mark.parametrize("model", [StochasticKroneckerModel, NoisySKGModel])
+    def test_levels_past_int64_refused(self, model):
+        with pytest.raises(GenerationError, match="analytic_properties"):
+            model(levels=64, num_edges=8)
+
+    def test_edge_count_bound(self):
+        StochasticKroneckerModel(levels=3, num_edges=(1 << 63) - 1)
+        with pytest.raises(GenerationError, match="analytic_properties"):
+            StochasticKroneckerModel(levels=3, num_edges=1 << 63)
+
+    @given(
+        levels=st.integers(min_value=1, max_value=70),
+        num_edges=st.integers(min_value=(1 << 63) - 4, max_value=(1 << 63) + 4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_accepted_iff_in_range(self, levels, num_edges):
+        ok = levels <= 63 and num_edges < 1 << 63
+        if ok:
+            StochasticKroneckerModel(levels=levels, num_edges=num_edges)
+        else:
+            with pytest.raises(GenerationError):
+                StochasticKroneckerModel(levels=levels, num_edges=num_edges)
 
 
 # -- plan building ------------------------------------------------------------

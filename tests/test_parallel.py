@@ -10,7 +10,6 @@ from repro.kron import KroneckerChain
 from repro.parallel import (
     MultiprocessingBackend,
     ParallelKroneckerGenerator,
-    SerialBackend,
     VirtualCluster,
     choose_split,
     partition_bc,
@@ -198,26 +197,12 @@ class TestGenerator:
 
 
 class TestBackends:
-    def test_serial_map(self):
-        assert SerialBackend().map(lambda x: x * 2, [1, 2, 3]) == [2, 4, 6]
-
-    def test_multiprocessing_map(self):
-        backend = MultiprocessingBackend(processes=2)
-        assert backend.map(_square, [1, 2, 3, 4]) == [1, 4, 9, 16]
-
-    def test_multiprocessing_empty(self):
-        assert MultiprocessingBackend(processes=2).map(_square, []) == []
-
     def test_multiprocessing_generator_end_to_end(self):
         chain = chain345()
         gen = ParallelKroneckerGenerator(
             chain, VirtualCluster(4), backend=MultiprocessingBackend(processes=2)
         )
         assert gen.assemble().equal(chain.materialize())
-
-
-def _square(x):
-    return x * x
 
 
 class TestScaling:

@@ -14,6 +14,7 @@ from repro.errors import (
 )
 from repro.parallel import SerialBackend
 from repro.runtime import (
+    ExecutionResult,
     FailureInjector,
     MetricsRegistry,
     RankEvents,
@@ -49,10 +50,18 @@ def make_executor(clock=None, sleeps=None, **kwargs):
     return executor, clock, sleeps
 
 
+def run(executor, fn, items, **kwargs):
+    """Drain ``run_iter`` into an item-ordered :class:`ExecutionResult`."""
+    done = sorted(executor.run_iter(fn, items, **kwargs), key=lambda c: c.index)
+    return ExecutionResult(
+        results=[c.value for c in done], reports=[c.report for c in done]
+    )
+
+
 class TestHappyPath:
     def test_results_in_item_order(self):
         executor, _, _ = make_executor()
-        result = executor.run(lambda x: x * 10, [1, 2, 3])
+        result = run(executor, lambda x: x * 10, [1, 2, 3])
         assert result.results == [10, 20, 30]
         assert result.total_retries == 0
         assert all(len(r.attempts) == 1 for r in result.reports)
@@ -64,12 +73,12 @@ class TestHappyPath:
             clock.advance(dt)
             return dt
 
-        result = executor.run(work, [0.5, 2.0])
+        result = run(executor, work, [0.5, 2.0])
         assert [r.elapsed_s for r in result.reports] == [0.5, 2.0]
 
     def test_empty_items(self):
         executor, _, _ = make_executor()
-        result = executor.run(lambda x: x, [])
+        result = run(executor, lambda x: x, [])
         assert result.results == [] and result.reports == []
 
 
@@ -77,7 +86,7 @@ class TestRetry:
     def test_transient_failure_retried_and_succeeds(self):
         executor, _, sleeps = make_executor(max_retries=2)
         injector = FailureInjector([1], fail_attempts=1)
-        result = executor.run(lambda x: x, ["a", "b", "c"], injector=injector)
+        result = run(executor, lambda x: x, ["a", "b", "c"], injector=injector)
         assert result.results == ["a", "b", "c"]
         assert result.reports[1].retries == 1
         assert not result.reports[1].attempts[0].ok
@@ -89,7 +98,7 @@ class TestRetry:
             max_retries=3, backoff_base_s=0.1, backoff_cap_s=10.0
         )
         injector = FailureInjector([0], fail_attempts=3)
-        executor.run(lambda x: x, [1], injector=injector)
+        run(executor, lambda x: x, [1], injector=injector)
         assert sleeps == pytest.approx([0.1, 0.2, 0.4])
 
     def test_backoff_respects_cap(self):
@@ -110,20 +119,20 @@ class TestRetry:
         executor, _, _ = make_executor(max_retries=2)
         injector = FailureInjector([0], fail_attempts=10)
         with pytest.raises(RetryExhaustedError, match="retry budget 2 exhausted"):
-            executor.run(lambda x: x, [1], injector=injector)
+            run(executor, lambda x: x, [1], injector=injector)
 
     def test_zero_retries_fails_fast(self):
         executor, _, sleeps = make_executor(max_retries=0)
         injector = FailureInjector([0])
         with pytest.raises(RetryExhaustedError):
-            executor.run(lambda x: x, [1], injector=injector)
+            run(executor, lambda x: x, [1], injector=injector)
         assert sleeps == []
 
     def test_fatal_error_aborts_immediately(self):
         executor, _, sleeps = make_executor(max_retries=5)
         injector = FailureInjector([1], fatal=True)
         with pytest.raises(FatalRankError, match="rank 1 failed fatally"):
-            executor.run(lambda x: x, [1, 2], injector=injector)
+            run(executor, lambda x: x, [1, 2], injector=injector)
         assert sleeps == []
 
     def test_arbitrary_exception_is_transient(self):
@@ -136,7 +145,7 @@ class TestRetry:
                 raise ValueError("boom")
             return x
 
-        result = executor.run(flaky, [7])
+        result = run(executor, flaky, [7])
         assert result.results == [7]
         assert "ValueError: boom" in result.reports[0].attempts[0].error
 
@@ -154,7 +163,7 @@ class TestTimeout:
             clock.advance(next(durations))
             return x
 
-        result = executor.run(work, ["ok"])
+        result = run(executor, work, ["ok"])
         assert result.results == ["ok"]
         first, second = result.reports[0].attempts
         assert not first.ok and "RankTimeoutError" in first.error
@@ -168,7 +177,7 @@ class TestTimeout:
             return x
 
         with pytest.raises(RetryExhaustedError):
-            executor.run(slow, [1])
+            run(executor, slow, [1])
 
     def test_no_timeout_by_default(self):
         executor, clock, _ = make_executor()
@@ -177,7 +186,7 @@ class TestTimeout:
             clock.advance(1e6)
             return x
 
-        assert executor.run(slow, [1]).results == [1]
+        assert run(executor, slow, [1]).results == [1]
 
     def test_invalid_timeout_rejected(self):
         with pytest.raises(TransientRankError):
@@ -192,7 +201,7 @@ class TestStragglers:
             clock.advance(dt)
             return dt
 
-        return executor.run(work, durations)
+        return run(executor, work, durations)
 
     def test_slow_rank_flagged(self):
         result = self._run_with_durations([1.0, 1.0, 1.0, 10.0], straggler_factor=3.0)
@@ -222,15 +231,16 @@ class TestObservability:
         )
         executor, _, _ = make_executor(max_retries=1, events=events)
         injector = FailureInjector([0], fail_attempts=1)
-        executor.run(lambda x: x, [1, 2], injector=injector)
-        # Outcomes are processed in rank order within a round, so rank
-        # 0's retry classification precedes rank 1's completion event.
+        run(executor, lambda x: x, [1, 2], injector=injector)
+        # Both tasks are submitted up front; rank 0's failure is
+        # classified first and its retry resubmitted at once, so rank
+        # 1's completion lands between the retry's start and its done.
         assert calls == [
             ("start", 0, 0),
             ("start", 1, 0),
             ("retry", 0, 0),
-            ("done", 1, 0),
             ("start", 0, 1),
+            ("done", 1, 0),
             ("done", 0, 1),
         ]
 
@@ -243,14 +253,14 @@ class TestObservability:
             clock.advance(dt)
             return dt
 
-        executor.run(work, [1.0, 1.0, 5.0])
+        run(executor, work, [1.0, 1.0, 5.0])
         assert seen == [(2, 5.0, 1.0)]
 
     def test_metrics_recorded(self):
         metrics = MetricsRegistry()
         executor, _, _ = make_executor(max_retries=1, metrics=metrics)
         injector = FailureInjector([0], fail_attempts=1)
-        executor.run(lambda x: x, [1, 2], injector=injector)
+        run(executor, lambda x: x, [1, 2], injector=injector)
         snap = metrics.snapshot()
         assert snap["counters"]["ranks.completed"] == 2
         assert snap["counters"]["ranks.retried"] == 1
@@ -260,15 +270,15 @@ class TestObservability:
     def test_tracer_span_wraps_run(self):
         sink = ListSink()
         executor, _, _ = make_executor(tracer=Tracer(sink, clock=FakeClock()))
-        executor.run(lambda x: x, [1])
-        (span,) = sink.spans
-        assert span.name == "executor.run"
+        run(executor, lambda x: x, [1])
+        (span,) = [s for s in sink.spans if s.name == "executor.run_iter"]
         assert span.attributes == {"ranks": 1, "backend": "serial"}
+        assert all(s.parent == "executor.run_iter" for s in sink.spans if s is not span)
 
     def test_execution_report_to_dict(self):
         executor, _, _ = make_executor(max_retries=1)
         injector = FailureInjector([0], fail_attempts=1)
-        result = executor.run(lambda x: x, [1], injector=injector)
+        result = run(executor, lambda x: x, [1], injector=injector)
         d = result.to_dict()
         assert d["total_retries"] == 1
         assert d["ranks"][0]["retries"] == 1
@@ -408,24 +418,6 @@ class TestRunIter:
         task_spans = [s for s in sink.spans if s.name == "executor.task"]
         assert {s.attributes["task"] for s in task_spans} == {0, 1}
         assert all(s.attributes["ok"] for s in task_spans)
-
-    def test_map_only_backend_adapted(self):
-        from repro.runtime import as_streaming
-        from repro.typing import StreamingBackend
-
-        class MapOnly:
-            name = "map-only"
-
-            def map(self, fn, items):
-                return [fn(i) for i in items]
-
-        backend = MapOnly()
-        assert not isinstance(backend, StreamingBackend)
-        adapted = as_streaming(backend)
-        assert isinstance(adapted, StreamingBackend)
-        executor = RankExecutor(backend)
-        done = list(executor.run_iter(lambda x: x + 1, [1, 2, 3]))
-        assert [c.value for c in done] == [2, 3, 4]
 
     def test_thread_backend_overlaps_straggler(self):
         # One slow task on two workers: total wall must be well below

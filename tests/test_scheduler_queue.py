@@ -1,4 +1,4 @@
-"""WorkQueueScheduler ordering and the shared duplicate-rank guard."""
+"""Scheduler group orders and the shared duplicate-rank guard."""
 
 import pytest
 
@@ -17,32 +17,22 @@ def _tasks(entries):
 class TestWorkQueueOrder:
     def test_lpt_order_longest_first(self):
         tasks = _tasks([10, 50, 30])
-        order = WorkQueueScheduler().order(tasks)
+        (order,) = WorkQueueScheduler().order(tasks)
         assert [t.rank for t in order] == [1, 2, 0]
 
     def test_ties_break_by_rank(self):
         tasks = _tasks([20, 20, 20])
-        order = WorkQueueScheduler().order(tasks)
+        (order,) = WorkQueueScheduler().order(tasks)
         assert [t.rank for t in order] == [0, 1, 2]
 
     def test_order_accepts_budget_keyword(self):
         tasks = _tasks([1, 2])
-        order = WorkQueueScheduler().order(tasks, memory_budget_entries=100)
+        (order,) = WorkQueueScheduler().order(tasks, memory_budget_entries=100)
         assert [t.rank for t in order] == [1, 0]
 
     def test_empty_task_list(self):
         assert WorkQueueScheduler().order([]) == []
-        assert WorkQueueScheduler().schedule([]) == []
-
-    def test_streaming_flag_set(self):
-        assert WorkQueueScheduler.streaming is True
-        assert not getattr(StaticScheduler(), "streaming", False)
-
-    def test_schedule_yields_singleton_batches_in_lpt_order(self):
-        tasks = _tasks([10, 50, 30])
-        batches = WorkQueueScheduler().schedule(tasks)
-        assert [len(b) for b in batches] == [1, 1, 1]
-        assert [b[0].rank for b in batches] == [1, 2, 0]
+        assert StaticScheduler().order([]) == []
 
 
 class TestMaxInFlight:
@@ -70,16 +60,12 @@ class TestDuplicateRankGuard:
 
     def test_static_schedule_rejects_duplicates(self):
         with pytest.raises(GenerationError, match=r"duplicate rank\(s\).*\[0\]"):
-            StaticScheduler().schedule(self._duped())
+            StaticScheduler().order(self._duped())
 
     def test_queue_order_rejects_duplicates(self):
         with pytest.raises(GenerationError, match=r"duplicate rank\(s\).*\[0\]"):
             WorkQueueScheduler().order(self._duped())
 
-    def test_queue_schedule_rejects_duplicates(self):
-        with pytest.raises(GenerationError, match=r"duplicate rank\(s\).*\[0\]"):
-            WorkQueueScheduler().schedule(self._duped())
-
     def test_unique_ranks_pass(self):
-        batches = StaticScheduler().schedule(_tasks([5, 5, 7]))
+        batches = StaticScheduler().order(_tasks([5, 5, 7]))
         assert [t.rank for b in batches for t in b] == [0, 1, 2]

@@ -108,6 +108,13 @@ class TestMalformedRequests:
             client.post_design({**SPEC, "model": "erdos"})
         assert err.value.status == 422
 
+    def test_skg_past_int64_is_422(self, client):
+        # Ten 100-leaf stars need 67 SKG levels: ids would wrap int64.
+        with pytest.raises(ServeError) as err:
+            client.post_design({"star_sizes": [100] * 10, "model": "skg"})
+        assert err.value.status == 422
+        assert "analytic_properties" in str(err.value)
+
     def test_garbage_request_line_is_400(self, server):
         raw = _raw_request(server.port, b"COMPLETE NONSENSE\r\n\r\n")
         assert b"400" in raw.split(b"\r\n", 1)[0]
