@@ -158,6 +158,23 @@ def chain_fingerprint(
     return doc
 
 
+#: Vertex ids are int64, so a Kronecker plan holds at most ``2**63``
+#: vertices (ids ``0 .. 2**63 - 1``).
+MAX_PLAN_VERTICES = 2**63
+
+
+def _require_int64_vertices(num_vertices: int) -> None:
+    """Refuse a plan whose vertex ids would wrap int64, before any
+    factor is partitioned or materialized."""
+    if num_vertices > MAX_PLAN_VERTICES:
+        raise GenerationError(
+            f"{num_vertices} vertices is past int64 generation (at most "
+            "2**63 vertices): vertex ids would wrap; compute the design's "
+            "properties without generating via "
+            "repro.catalog.analytic_properties"
+        )
+
+
 def plan_from_partition(
     partition: "PartitionPlan",
     *,
@@ -172,6 +189,7 @@ def plan_from_partition(
     c: Optional["COOMatrix"] = None,
 ) -> GenerationPlan:
     """Wrap an existing partition as a plan (the adapter entry point)."""
+    _require_int64_vertices(num_vertices)
     if c is not None and c.nnz != partition.c_chain.nnz:
         raise GenerationError(
             f"pre-materialized c has nnz {c.nnz} but the partition's C "
@@ -248,6 +266,7 @@ def plan_from_chain(
     """Plan a bare factor chain on a virtual cluster."""
     from repro.parallel.partition import partition_bc
 
+    _require_int64_vertices(chain.num_vertices)
     partition = partition_bc(
         chain, cluster, split_index=split_index, allow_empty=allow_empty_ranks
     )
@@ -284,6 +303,7 @@ def plan_from_design(
     from repro.parallel.machine import VirtualCluster
     from repro.parallel.partition import partition_bc
 
+    _require_int64_vertices(design.num_vertices)
     chain = design.to_chain()
     cluster = VirtualCluster(
         n_ranks=n_ranks, memory_budget_entries=memory_budget_entries

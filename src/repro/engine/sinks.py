@@ -14,10 +14,13 @@ result.  Three sinks cover the repo's historical drivers:
   histogram, storing no edges at all.
 
 Consumers and their factories are module-level and picklable so the
-multiprocessing backend works unchanged.  The serialized byte stream and
-the manifest bookkeeping reproduce ``parallel.stream`` exactly: shards
-written tile-by-tile through :class:`~repro.runtime.checkpoint.ShardWriter`
-are byte- and checksum-identical to the old whole-payload writes.
+multiprocessing backend works unchanged.  Shard lines are encoded by the
+vectorized TSV codec (:mod:`repro.io.tsv_codec`), byte-identical to the
+historical per-entry f-string kept as the oracle in
+``tests/tsv_oracle.py``.  The manifest bookkeeping reproduces
+``parallel.stream`` exactly: shards written tile-by-tile through
+:class:`~repro.runtime.checkpoint.ShardWriter` are byte- and
+checksum-identical to the old whole-payload writes.
 
 NOTE Imports from ``repro.parallel`` are function-local only — see
 :mod:`repro.engine.plan` on the import cycle.
@@ -33,6 +36,7 @@ import numpy as np
 
 from repro.design.distribution import DegreeDistribution
 from repro.errors import GenerationError, StorageError
+from repro.io.tsv_codec import encode_tsv_lines
 from repro.runtime.checkpoint import (
     STATUS_COMPLETE,
     STATUS_FAILED,
@@ -127,15 +131,14 @@ class StreamingDegreeAccumulator:
 def _serialize_tile(
     rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
 ) -> Tuple[bytes, int]:
-    """One tile as TSV bytes (the exact historical shard line format).
+    """One tile as TSV bytes, in the historical shard line format.
 
-    This f-string path is the serialization *oracle*: the native encoder
-    (:func:`repro.kron._fast.encode_tile_native`) must produce identical
-    bytes, and the kernel byte-identity tests compare against this."""
-    lines = [
-        f"{int(r)}\t{int(c)}\t{int(v)}\n" for r, c, v in zip(rows, cols, vals)
-    ]
-    return "".join(lines).encode("ascii"), len(lines)
+    Encoded by the vectorized :func:`repro.io.tsv_codec.encode_tsv_lines`,
+    byte-identical to the per-entry f-string ``f"{r}\\t{c}\\t{v}\\n"``
+    kept as the oracle in ``tests/tsv_oracle.py``; the native encoder
+    (:func:`repro.kron._fast.encode_tile_native`) must match the same
+    bytes.  Kept as a module-level seam so tests can monkeypatch it."""
+    return encode_tsv_lines(rows, cols, vals), len(rows)
 
 
 def _serialize_tile_native(

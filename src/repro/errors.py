@@ -41,6 +41,16 @@ class PartitionError(GenerationError):
     """A parallel partition is infeasible (e.g. more ranks than triples)."""
 
 
+class ProductTooLargeError(GenerationError, MemoryError):
+    """A Kronecker product, row or vector is refused because holding it
+    would exhaust memory.
+
+    Also a :class:`MemoryError`, so callers that guarded a
+    materialization with ``except MemoryError`` keep working, while
+    library-wide ``except ReproError`` handlers (the CLI, the graph
+    service) now answer it as a refused input instead of crashing."""
+
+
 class KernelUnavailableError(GenerationError):
     """The requested generation kernel cannot run here (``"native"``
     without ``numba`` installed).

@@ -1,24 +1,29 @@
 """TSV edge lists — the interchange format of the Graph500/GraphChallenge
 ecosystem the paper's generator feeds.
 
-One line per stored entry: ``row<TAB>col<TAB>value``.  The per-rank
-writers mirror the paper's production mode, where every rank streams its
-own block to its own file with no coordination.
+One line per stored entry: ``row<TAB>col<TAB>value``, written and read
+by the codec in :mod:`repro.io.tsv_codec` (the same bytes and line rules
+as the shard sink and the shard readers).  The writers stream one encoded
+block at a time, so an export needs no more memory than its matrix.  The
+per-rank writers mirror the paper's production mode, where every rank
+streams its own block to its own file with no coordination.
 """
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import IOFormatError
-from repro.parallel.generator import RankBlock
+from repro.io.tsv_codec import iter_tsv_blocks, iter_tsv_triples
 from repro.sparse.convert import AnySparse, as_coo
 from repro.sparse.coo import COOMatrix
 from repro.sparse.kernels import INDEX_DTYPE
+
+if TYPE_CHECKING:
+    from repro.parallel.generator import RankBlock
 
 
 def write_tsv_edges(path: str | Path, matrix: AnySparse) -> int:
@@ -26,55 +31,34 @@ def write_tsv_edges(path: str | Path, matrix: AnySparse) -> int:
     coo = as_coo(matrix)
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="ascii") as fh:
-        for r, c, v in zip(coo.rows, coo.cols, coo.vals):
-            fh.write(f"{int(r)}\t{int(c)}\t{int(v)}\n")
+    with open(path, "wb") as fh:
+        fh.writelines(iter_tsv_blocks(coo.rows, coo.cols, coo.vals))
     return coo.nnz
 
 
 def read_tsv_edges(path: str | Path, shape: Tuple[int, int]) -> COOMatrix:
     """Read TSV triples back into a canonical COO matrix."""
-    rows: List[int] = []
-    cols: List[int] = []
-    vals: List[int] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise IOFormatError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, "
-                    f"got {len(parts)}"
-                )
-            try:
-                rows.append(int(parts[0]))
-                cols.append(int(parts[1]))
-                vals.append(int(parts[2]))
-            except ValueError as exc:
-                raise IOFormatError(f"{path}:{lineno}: non-integer field") from exc
+    chunks = list(iter_tsv_triples(path)) or [(np.empty(0, dtype=np.int64),) * 3]
+    rows, cols, vals = (np.concatenate(column) for column in zip(*chunks))
     return COOMatrix(
         shape,
-        np.asarray(rows, dtype=INDEX_DTYPE),
-        np.asarray(cols, dtype=INDEX_DTYPE),
-        np.asarray(vals, dtype=np.int64),
+        rows.astype(INDEX_DTYPE, copy=False),
+        cols.astype(INDEX_DTYPE, copy=False),
+        vals,
     )
 
 
 def write_rank_files(
-    directory: str | Path, blocks: Sequence[RankBlock], *, prefix: str = "edges"
+    directory: str | Path, blocks: Sequence["RankBlock"], *, prefix: str = "edges"
 ) -> List[Path]:
     """Write each rank block (global coordinates) to ``prefix.<rank>.tsv``."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
     for block in blocks:
-        rows, cols, vals = block.global_triples()
         path = directory / f"{prefix}.{block.rank}.tsv"
-        with open(path, "w", encoding="ascii") as fh:
-            for r, c, v in zip(rows, cols, vals):
-                fh.write(f"{int(r)}\t{int(c)}\t{int(v)}\n")
+        with open(path, "wb") as fh:
+            fh.writelines(iter_tsv_blocks(*block.global_triples()))
         paths.append(path)
     return paths
 

@@ -9,7 +9,8 @@ Two kernels live here, each with a pure-Python body that is
   each group) emits the product *already in lex order* — byte-identical
   to the NumPy ``repeat``/``tile``/``lexsort`` oracle with no sort at all.
 * **encode** — int64 → decimal ASCII TSV serialization, byte-identical
-  to the f-string oracle in :mod:`repro.engine.sinks`
+  to the vectorized NumPy encoder :func:`repro.io.tsv_codec.encode_tsv_lines`
+  and to the per-entry f-string oracle in ``tests/tsv_oracle.py``
   (``f"{r}\\t{c}\\t{v}\\n"``), including negative values.
 
 Gating mirrors :mod:`repro.net.mpi`: importing this module is always
@@ -267,7 +268,9 @@ def expand_tile(
 def encode_tile_native(
     rows: np.ndarray, cols: np.ndarray, vals: np.ndarray
 ) -> bytes:
-    """TSV-encode a tile, byte-identical to the f-string serializer."""
+    """TSV-encode a tile, byte-identical to
+    :func:`repro.io.tsv_codec.encode_tsv_lines` and the f-string oracle
+    in ``tests/tsv_oracle.py``."""
     _, encode, _ = _load()
     n = int(rows.shape[0])
     if n == 0:

@@ -14,7 +14,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ShapeError
+from repro.errors import ProductTooLargeError, ShapeError
 from repro.semiring.base import Semiring
 from repro.semiring.standard import PLUS_TIMES
 from repro.kron.indexing import MixedRadix
@@ -114,7 +114,9 @@ class KroneckerChain:
             fc, fv = m.cols[sel], m.vals[sel]
             size *= len(fc)
             if size > 10**7:
-                raise MemoryError(f"row {i} has more than 10^7 entries; use row_nnz_of")
+                raise ProductTooLargeError(
+                    f"row {i} has more than 10^7 entries; use row_nnz_of"
+                )
             if len(fc) == 0:
                 return np.empty(0, dtype=object), np.empty(0, dtype=object)
             width = m.shape[1]
@@ -149,7 +151,7 @@ class KroneckerChain:
         the parallel generator and stream per-rank blocks instead.
         """
         if self.nnz > 5 * 10**7:
-            raise MemoryError(
+            raise ProductTooLargeError(
                 f"product has {self.nnz} stored entries; materializing would "
                 "exhaust memory — use repro.parallel to generate blocks"
             )

@@ -22,7 +22,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.errors import DesignError, ShapeError
+from repro.errors import DesignError, ProductTooLargeError, ShapeError
 from repro.kron.chain import KroneckerChain
 from repro.sparse.convert import as_coo
 
@@ -39,7 +39,7 @@ def chain_matvec(chain: KroneckerChain, x: np.ndarray) -> np.ndarray:
     """
     n = chain.num_vertices
     if n > MAX_VECTOR_LENGTH:
-        raise MemoryError(
+        raise ProductTooLargeError(
             f"product has {n} vertices; matvec vectors of that length "
             f"exceed the {MAX_VECTOR_LENGTH} cap"
         )

@@ -21,8 +21,9 @@ from repro.engine import (
     execute,
     plan_from_chain,
     plan_from_design,
+    plan_from_partition,
 )
-from repro.errors import GenerationError, PartitionError
+from repro.errors import GenerationError, PartitionError, ProductTooLargeError
 from repro.graphs import star_adjacency
 from repro.kron import KroneckerChain, kron, kron_tiles, tile_row_ranges
 from repro.parallel import VirtualCluster, streamed_degree_distribution
@@ -217,3 +218,37 @@ class TestPlanValidation:
         assert isinstance(plan, GenerationPlan)
         assert plan.memory_budget_entries == 1000
         assert sum(t.estimated_entries for t in plan.tasks) == design.raw_nnz
+
+
+class TestInt64VertexRefusal:
+    """Kronecker plans refuse vertex ids that would wrap int64, with a
+    typed error, before anything is partitioned or materialized."""
+
+    HUGE = PowerLawDesign([100] * 10, "center")  # 101**10 > 2**63 vertices
+
+    def test_plan_from_design_refuses(self):
+        assert self.HUGE.num_vertices > 2**63
+        with pytest.raises(GenerationError, match="analytic_properties"):
+            plan_from_design(self.HUGE, 8, memory_budget_entries=10**15)
+
+    def test_plan_from_chain_refuses(self):
+        with pytest.raises(GenerationError, match="analytic_properties"):
+            plan_from_chain(self.HUGE.to_chain(), VirtualCluster(8))
+
+    def test_plan_from_partition_refuses(self):
+        partition = plan_from_design(PowerLawDesign([3, 4], "none"), 2).partition
+        with pytest.raises(GenerationError, match="analytic_properties"):
+            plan_from_partition(
+                partition, num_vertices=2**63 + 1, memory_budget_entries=None
+            )
+        plan = plan_from_partition(
+            partition, num_vertices=2**63, memory_budget_entries=None
+        )
+        assert plan.num_vertices == 2**63
+
+    def test_materialize_refusal_is_typed_and_still_a_memory_error(self):
+        huge = KroneckerChain([star_adjacency(1000)] * 4)
+        with pytest.raises(ProductTooLargeError) as err:
+            huge.materialize()
+        assert isinstance(err.value, GenerationError)
+        assert isinstance(err.value, MemoryError)

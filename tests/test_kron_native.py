@@ -17,12 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engine.sinks import _serialize_tile, _serialize_tile_native
+from repro.engine.sinks import _serialize_tile_native
 from repro.errors import GenerationError, KernelUnavailableError
 from repro.kron import _fast
 from repro.kron.tiles import kron_tiles
 from repro.semiring import MAX_PLUS
 from repro.sparse import from_dense
+from tests.tsv_oracle import serialize_tile_oracle as _serialize_tile
 
 
 @pytest.fixture

@@ -115,6 +115,16 @@ class TestMalformedRequests:
         assert err.value.status == 422
         assert "analytic_properties" in str(err.value)
 
+    def test_kron_tiles_past_int64_is_422(self, client):
+        # 101**10 (about 1.1e20) vertices: the design record is fine,
+        # but its vertex ids cannot be generated in int64.
+        digest = client.post_design({**SPEC, "star_sizes": [100] * 10})["digest"]
+        status, _, body = client._request(
+            "GET", f"/v1/tiles/{digest}/0?budget={10**15}&stop=1"
+        )
+        assert status == 422
+        assert b"analytic_properties" in body
+
     def test_garbage_request_line_is_400(self, server):
         raw = _raw_request(server.port, b"COMPLETE NONSENSE\r\n\r\n")
         assert b"400" in raw.split(b"\r\n", 1)[0]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Benchmark smoke target: ``python tools/bench_smoke.py``.
 
-Eleven cheap CI guards:
+Twelve cheap CI guards:
 
 1. the Fig.-3 scaling benchmark at toy scale (the metrics-snapshot test
    only), asserting a machine-readable metrics JSON was produced — the
@@ -67,7 +67,11 @@ Eleven cheap CI guards:
    distribution and throughput are appended to the recorded
    ``BENCH_serve.json`` trajectory (shared with
    ``tools/bench_load.py``) — the serving layer's warm-path latency
-   contract stays enforced.
+   contract stays enforced;
+12. the write-side twin of guard 4: a fixed 150k-entry tile through the
+   vectorized TSV encoder must equal the per-entry f-string oracle
+   (``tests/tsv_oracle.py``) byte for byte and encode at >=1M entries/s
+   — a fall back to per-line encoding (well under 1M entries/s) fails it.
 
 With ``--artifact-dir`` the tiled, straggler, and socket runs' metrics
 snapshots plus the updated ``BENCH_*.json`` trajectories are written
@@ -375,6 +379,50 @@ def smoke_degree_reader(root: Path) -> int:
     print(
         f"bench-smoke: OK — chunked reader exact at {rate:,.0f} lines/s "
         f"(floor {200_000:,})",
+        file=sys.stderr,
+    )
+    return 0
+
+
+def smoke_tsv_encoder(root: Path) -> int:
+    """Byte-equality + throughput floor for the vectorized TSV encoder."""
+    sys.path.insert(0, str(root / "src"))
+    sys.path.insert(0, str(root))
+    import numpy as np
+
+    from repro.io.tsv_codec import encode_tsv_lines
+    from tests.tsv_oracle import serialize_tile_oracle
+
+    entries = 150_000
+    rng = np.random.default_rng(54321)
+    rows = rng.integers(0, 10**7, size=entries)
+    cols = rng.integers(0, 10**7, size=entries)
+    vals = rng.integers(-(10**3), 10**3, size=entries)
+    reference, _ = serialize_tile_oracle(rows, cols, vals)
+    best = float("inf")
+    for _ in range(3):
+        t0 = time.perf_counter()
+        encoded = encode_tsv_lines(rows, cols, vals)
+        best = min(best, time.perf_counter() - t0)
+    if encoded != reference:
+        print(
+            "bench-smoke: vectorized TSV encoder disagrees with the "
+            "per-entry reference",
+            file=sys.stderr,
+        )
+        return 1
+    rate = entries / best
+    floor = 1_000_000.0
+    if rate < floor:
+        print(
+            f"bench-smoke: TSV encoder at {rate:,.0f} entries/s, "
+            f"below the {floor:,.0f} floor",
+            file=sys.stderr,
+        )
+        return 1
+    print(
+        f"bench-smoke: OK — TSV encoder exact at {rate:,.0f} entries/s "
+        f"(floor {floor:,.0f})",
         file=sys.stderr,
     )
     return 0
@@ -1123,6 +1171,7 @@ def main(argv: list[str] | None = None) -> int:
         lambda: smoke_interrupted_resume(root),
         lambda: smoke_tiled_budget(root, args.memory_budget, args.artifact_dir),
         lambda: smoke_degree_reader(root),
+        lambda: smoke_tsv_encoder(root),
         lambda: smoke_straggler_queue(root, args.artifact_dir),
         lambda: smoke_socket_sink(root, args.artifact_dir),
         lambda: smoke_kernel_identity(
