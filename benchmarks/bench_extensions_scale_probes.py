@@ -15,6 +15,7 @@ from repro.design import (
     induced_subgraph,
     sample_edges,
 )
+from repro.engine import RunConfig
 from repro.parallel import scramble_graph, scramble_permutation, simulate_rate_curve
 
 FIG7 = [3, 4, 5, 7, 11, 9, 16, 25, 49, 81, 121, 256, 625, 2401, 14641]
@@ -89,7 +90,9 @@ def test_fig3_curve_at_paper_core_count(benchmark):
 
     def run():
         return simulate_rate_curve(
-            design, [41_472], max_block_entries=30_000_000
+            design,
+            [41_472],
+            config=RunConfig(memory_budget_entries=30_000_000),
         )
 
     curve = benchmark.pedantic(run, rounds=1, iterations=1)

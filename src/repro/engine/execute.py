@@ -60,7 +60,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
-from repro.engine.config import _UNSET, RunConfig, resolve_run_config
+from repro.engine.config import RunConfig, resolve_run_config
 from repro.engine.plan import GenerationPlan, RankTask
 from repro.engine.scheduler import StaticScheduler
 from repro.engine.sinks import Sink
@@ -277,9 +277,7 @@ def execute(
     sink: Sink,
     *,
     config: RunConfig | None = None,
-    backend=None,
     executor: RankExecutor | None = None,
-    scheduler=None,
     metrics: MetricsRegistry | None = None,
     tracer: Tracer | None = None,
     events: RankEvents | None = None,
@@ -290,15 +288,14 @@ def execute(
 ) -> EngineResult:
     """Run ``plan`` through ``sink`` — the one generation loop.
 
-    ``config`` is the preferred way to shape the run
+    ``config`` shapes the run
     (:class:`~repro.engine.config.RunConfig`): ``execute`` honours its
     ``backend``, ``scheduler``, and ``kernel`` fields (a non-``"auto"``
     config kernel overrides the plan's); the remaining fields belong to
-    the higher-level drivers and raise here.  The individual ``backend``
-    / ``scheduler`` keywords are deprecated aliases (they warn once).
+    the higher-level drivers and raise here.
 
     ``executor`` overrides the backend/retry/timeout arguments when
-    given; ``scheduler`` defaults to a single all-task group
+    given; the scheduler defaults to a single all-task group
     (:class:`~repro.engine.scheduler.StaticScheduler`).  Every scheduler
     runs through the same dispatch loop; its groups only decide where
     the barriers sit, so commit order — and therefore all sink output —
@@ -334,8 +331,6 @@ def execute(
             "scramble_seed",
             "model",
         ),
-        backend=_UNSET if backend is None else backend,
-        scheduler=_UNSET if scheduler is None else scheduler,
     )
     if cfg.kernel != "auto" and cfg.kernel != plan.kernel:
         plan = replace(plan, kernel=cfg.kernel)

@@ -26,10 +26,33 @@ if TYPE_CHECKING:
     from repro.parallel.generator import RankBlock
 
 
+def _require_integral(path: Path, vals) -> None:
+    """Refuse values the integer TSV format would truncate.
+
+    The codec writes floats like ``int()`` (toward zero), so 2.5 would
+    come back as 2; raise before ``path`` is created instead.
+    """
+    vals = np.asarray(vals)
+    if vals.dtype.kind in "biu":
+        return
+    # Float and object (Python int/float) columns; integers stay integral.
+    as_float = vals.astype(np.float64)
+    if not np.all(np.isfinite(as_float) & (as_float == np.trunc(as_float))):
+        raise IOFormatError(
+            f"{path}: TSV values must be integers; the matrix holds "
+            "non-integral values that would be truncated"
+        )
+
+
 def write_tsv_edges(path: str | Path, matrix: AnySparse) -> int:
-    """Write a matrix's triples as TSV; returns the number of lines."""
+    """Write a matrix's triples as TSV; returns the number of lines.
+
+    Raises :class:`~repro.errors.IOFormatError` (and writes nothing) if
+    a value is not an integer.
+    """
     coo = as_coo(matrix)
     path = Path(path)
+    _require_integral(path, coo.vals)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
         fh.writelines(iter_tsv_blocks(coo.rows, coo.cols, coo.vals))
@@ -51,15 +74,20 @@ def read_tsv_edges(path: str | Path, shape: Tuple[int, int]) -> COOMatrix:
 def write_rank_files(
     directory: str | Path, blocks: Sequence["RankBlock"], *, prefix: str = "edges"
 ) -> List[Path]:
-    """Write each rank block (global coordinates) to ``prefix.<rank>.tsv``."""
+    """Write each rank block (global coordinates) to ``prefix.<rank>.tsv``.
+
+    Every block's values are checked before any file is created: a
+    non-integral value raises :class:`~repro.errors.IOFormatError`
+    naming the file it would have gone to.
+    """
     directory = Path(directory)
+    paths = [directory / f"{prefix}.{block.rank}.tsv" for block in blocks]
+    for block, path in zip(blocks, paths):
+        _require_integral(path, block.block.vals)
     directory.mkdir(parents=True, exist_ok=True)
-    paths = []
-    for block in blocks:
-        path = directory / f"{prefix}.{block.rank}.tsv"
+    for block, path in zip(blocks, paths):
         with open(path, "wb") as fh:
             fh.writelines(iter_tsv_blocks(*block.global_triples()))
-        paths.append(path)
     return paths
 
 

@@ -486,8 +486,6 @@ def execute_over_transport(
     *,
     transport: "str | Tuple[TileTransport, TileTransport]" = "inproc",
     config=None,
-    backend=None,
-    scheduler=None,
     metrics: Optional[MetricsRegistry] = None,
     tracer: Optional[Tracer] = None,
     events: "Optional[RankEvents]" = None,
@@ -504,8 +502,7 @@ def execute_over_transport(
     ``(producer, collector)`` endpoint pair.  ``config`` is the
     engine's :class:`~repro.engine.config.RunConfig` (backend,
     scheduler, kernel), forwarded to
-    :func:`~repro.engine.execute.execute` — the individual ``backend``
-    / ``scheduler`` keywords are its deprecated aliases.  The returned
+    :func:`~repro.engine.execute.execute`.  The returned
     :class:`~repro.engine.execute.EngineResult` carries the inner sink's
     result (via the RESULT frame), so callers see exactly what a local
     run would have produced.
@@ -530,8 +527,6 @@ def execute_over_transport(
             plan,
             net_sink,
             config=config,
-            backend=backend,
-            scheduler=scheduler,
             metrics=metrics,
             tracer=tracer,
             events=events,

@@ -13,13 +13,12 @@ bit-identical to running the ranks in a plain loop.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.engine.config import _UNSET, RunConfig, resolve_run_config
+from repro.engine.config import RunConfig, resolve_run_config
 from repro.engine.execute import execute as engine_execute
 from repro.engine.plan import chain_fingerprint, plan_from_partition
 from repro.engine.scheduler import StaticScheduler
@@ -270,53 +269,32 @@ def generate_design_parallel(
     n_ranks: int,
     *,
     config: RunConfig | None = None,
-    backend: BackendLike = None,
-    memory_budget_entries: int | None = None,
     max_retries: int = 0,
     rank_timeout_s: float | None = None,
     metrics: MetricsRegistry | None = None,
     events: RankEvents | None = None,
-    scheduler=None,
-    checkpoint_dir: "str | None" = None,
-    resume: bool | None = None,
-    memory_entries: int | None = None,
 ) -> Graph:
     """One-call helper: realize a :class:`~repro.design.PowerLawDesign`
     on ``n_ranks`` simulated ranks, removing the design self-loop.
 
-    ``config`` is the preferred way to shape the run
-    (:class:`~repro.engine.config.RunConfig`: backend, scheduler, memory
-    budget, checkpoint directory, resume, kernel — ``scramble_seed``
-    only together with ``checkpoint_dir``, since the in-memory path
-    returns the unrelabeled graph).  The individual keywords keep
-    working but are deprecated (warn once); ``memory_entries`` is the
-    older deprecated alias of ``memory_budget_entries``.
+    ``config`` (:class:`~repro.engine.config.RunConfig`) shapes the
+    run: backend, scheduler, memory budget, checkpoint directory,
+    resume, kernel — ``scramble_seed`` only together with
+    ``checkpoint_dir``, since the in-memory path returns the unrelabeled
+    graph.
 
     With a checkpoint directory, generation runs through the crash-safe
     streamed pipeline (:func:`~repro.parallel.stream.generate_to_disk`):
     every rank shard is written atomically and committed to the run
     manifest, and resume re-derives the plan, verifies the design
     fingerprint, and regenerates only missing/invalid shards before
-    assembling the graph from disk.
+    assembling the graph from disk.  That pipeline has no per-rank
+    timeout or event hooks, so ``rank_timeout_s`` and ``events`` raise
+    :class:`~repro.errors.GenerationError` there instead of being
+    dropped.
     """
-    if memory_entries is not None:
-        warnings.warn(
-            "memory_entries is deprecated; use memory_budget_entries",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        memory_budget_entries = memory_entries
     cfg = resolve_run_config(
-        "generate_design_parallel",
-        config,
-        unsupported=("transport", "model"),
-        backend=_UNSET if backend is None else backend,
-        scheduler=_UNSET if scheduler is None else scheduler,
-        memory_budget_entries=(
-            _UNSET if memory_budget_entries is None else memory_budget_entries
-        ),
-        checkpoint_dir=_UNSET if checkpoint_dir is None else checkpoint_dir,
-        resume=_UNSET if resume is None else resume,
+        "generate_design_parallel", config, unsupported=("transport", "model")
     )
     budget = (
         cfg.memory_budget_entries
@@ -324,6 +302,12 @@ def generate_design_parallel(
         else 50_000_000
     )
     if cfg.checkpoint_dir is not None:
+        for name, value in (("rank_timeout_s", rank_timeout_s), ("events", events)):
+            if value is not None:
+                raise GenerationError(
+                    f"{name} is not supported with checkpoint_dir: the "
+                    "streamed pipeline cannot honour it"
+                )
         from repro.io.tsv import read_rank_files
         from repro.parallel.stream import generate_to_disk
 

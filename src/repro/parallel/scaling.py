@@ -20,11 +20,10 @@ Every figure produced from this module is labelled simulated.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import List, Sequence
 
-from repro.engine.config import _UNSET, RunConfig, resolve_run_config
+from repro.engine.config import RunConfig, resolve_run_config
 from repro.errors import GenerationError
 from repro.kron.chain import KroneckerChain
 from repro.kron.sparse_kron import kron
@@ -126,37 +125,19 @@ def run_scaling_study(
     rank_counts: Sequence[int],
     *,
     config: RunConfig | None = None,
-    memory_budget_entries: int | None = None,
-    backend: BackendLike = None,
-    scheduler=None,
     max_retries: int = 0,
     rank_timeout_s: float | None = None,
     metrics: MetricsRegistry | None = None,
-    memory_entries: int | None = None,
 ) -> ScalingStudy:
     """Sweep ``rank_counts`` and collect the scaling curve for ``chain``.
 
-    Prefer ``config=RunConfig(...)`` (backend, scheduler, memory budget,
-    kernel); the individual keywords are deprecated aliases, and
-    ``memory_entries`` is the older deprecated alias of
-    ``memory_budget_entries``.
+    ``config`` honours ``backend``, ``scheduler``,
+    ``memory_budget_entries`` and ``kernel``; the other fields raise.
     """
-    if memory_entries is not None:
-        warnings.warn(
-            "memory_entries is deprecated; use memory_budget_entries",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        memory_budget_entries = memory_entries
     cfg = resolve_run_config(
         "run_scaling_study",
         config,
         unsupported=("transport", "checkpoint_dir", "resume", "scramble_seed", "model"),
-        memory_budget_entries=(
-            _UNSET if memory_budget_entries is None else memory_budget_entries
-        ),
-        backend=_UNSET if backend is None else backend,
-        scheduler=_UNSET if scheduler is None else scheduler,
     )
     budget = (
         cfg.memory_budget_entries

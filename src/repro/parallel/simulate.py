@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from repro.design.star_design import PowerLawDesign
-from repro.engine.config import _UNSET, RunConfig, resolve_run_config
+from repro.engine.config import RunConfig, resolve_run_config
 from repro.engine.execute import execute as engine_execute
 from repro.engine.plan import plan_from_partition
 from repro.engine.sinks import AssemblySink
@@ -75,7 +75,6 @@ def simulate_rate_curve(
     *,
     config: RunConfig | None = None,
     split_index: int | None = None,
-    max_block_entries: int | None = None,
     repeats: int = 1,
     metrics: MetricsRegistry | None = None,
 ) -> SimulatedCurve:
@@ -87,10 +86,9 @@ def simulate_rate_curve(
     ``metrics``, every measured point lands in the ``simulate.rank_s``
     histogram and the skip count in ``simulate.points_skipped``.
 
-    Prefer ``config=RunConfig(...)``: its ``memory_budget_entries`` is
-    this function's block budget (the deprecated ``max_block_entries``
-    keyword, default 40M entries), and ``backend`` / ``kernel`` shape
-    the timed kernel runs.
+    ``config``'s ``memory_budget_entries`` is this function's block
+    budget (default 40M entries), and ``backend`` / ``kernel`` shape the
+    timed kernel runs; the other fields raise.
     """
     cfg = resolve_run_config(
         "simulate_rate_curve",
@@ -103,11 +101,8 @@ def simulate_rate_curve(
             "scramble_seed",
             "model",
         ),
-        memory_budget_entries=(
-            _UNSET if max_block_entries is None else max_block_entries
-        ),
     )
-    max_block_entries = (
+    budget = (
         cfg.memory_budget_entries
         if cfg.memory_budget_entries is not None
         else 40_000_000
@@ -127,21 +122,21 @@ def simulate_rate_curve(
         for k in range(1, chain.num_factors):
             prefix *= nnzs[k - 1]
             suffix = total // prefix
-            if suffix <= max_block_entries and prefix <= max_block_entries:
+            if suffix <= budget and prefix <= budget:
                 if prefix > best_prefix:
                     best_prefix = prefix
                     best_k = k
         if best_k is None:
             raise PartitionError(
                 f"no split of factor nnzs {nnzs} keeps both halves under "
-                f"{max_block_entries:,} entries"
+                f"{budget:,} entries"
             )
         split_index = best_k
     b_chain, c_chain = chain.split(split_index)
-    if b_chain.nnz > max_block_entries:
+    if b_chain.nnz > budget:
         raise PartitionError(
             f"B half has {b_chain.nnz:,} entries, above the "
-            f"{max_block_entries:,} budget"
+            f"{budget:,} budget"
         )
     b = b_chain.materialize()
     c = c_chain.materialize()
@@ -167,7 +162,7 @@ def simulate_rate_curve(
         # materializing 40k assignments.
         assignment = partition_rank(b, cores, 0)
         block_entries = assignment.nnz * c.nnz
-        if block_entries > max_block_entries:
+        if block_entries > budget:
             points.append(
                 CurvePoint(
                     cores=cores,
@@ -177,7 +172,7 @@ def simulate_rate_curve(
                     measured=False,
                     skip_reason=(
                         f"rank block of {block_entries:,} entries exceeds "
-                        f"budget {max_block_entries:,}"
+                        f"budget {budget:,}"
                     ),
                 )
             )
@@ -192,7 +187,7 @@ def simulate_rate_curve(
                 assignments=(assignment,),
             ),
             num_vertices=chain.num_vertices,
-            memory_budget_entries=max_block_entries,
+            memory_budget_entries=budget,
             kernel=cfg.kernel,
             c=c,
         )

@@ -16,10 +16,10 @@ identical to whole-block writes.
 * :func:`generate_to_disk` — iterate ranks, form ``Ap = Bp ⊗ C``, write
   it atomically (temp file → fsync → rename) with a SHA-256 checksum,
   commit it to the run manifest, drop it;
-* **resume** — ``generate_to_disk(..., resume=True)`` re-derives the
-  plan, verifies the design fingerprint against the existing
-  ``manifest.json``, validates surviving shards against their recorded
-  checksums (quarantining corrupt ones as ``*.corrupt``), and
+* **resume** — ``generate_to_disk(..., config=RunConfig(resume=True))``
+  re-derives the plan, verifies the design fingerprint against the
+  existing ``manifest.json``, validates surviving shards against their
+  recorded checksums (quarantining corrupt ones as ``*.corrupt``), and
   regenerates only the missing/invalid ranks through the
   :class:`~repro.runtime.RankExecutor` retry path;
 * :func:`verify_shards` — recompute every shard checksum and cross-check
@@ -36,14 +36,13 @@ the durability tests assert.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.design.distribution import DegreeDistribution
 from repro.design.star_design import PowerLawDesign
-from repro.engine.config import _UNSET, RunConfig, resolve_run_config
+from repro.engine.config import RunConfig, resolve_run_config
 from repro.engine.execute import execute as engine_execute
 from repro.engine.plan import plan_from_design, plan_from_model
 from repro.engine.scheduler import StaticScheduler
@@ -53,10 +52,9 @@ from repro.engine.sinks import (  # noqa: F401  (re-exported, historical home)
     StreamingDegreeAccumulator,
     StreamSummary,
 )
-from repro.errors import IOFormatError, ManifestError
+from repro.errors import GenerationError, IOFormatError, ManifestError
 from repro.io.tsv_codec import READ_CHUNK_BYTES, iter_tsv_triples
 from repro.models import resolve_model
-from repro.parallel.backends import BackendLike
 from repro.runtime.checkpoint import (
     STATUS_COMPLETE,
     RunManifest,
@@ -68,40 +66,18 @@ from repro.runtime.tracing import Tracer
 from repro.validate.degree_check import DegreeCheck, check_degree_distribution
 
 
-def _resolve_memory_alias(
-    memory_budget_entries: int, memory_entries: int | None
-) -> int:
-    """The shared ``memory_entries`` → ``memory_budget_entries``
-    deprecation shim (same contract as ``generate_design_parallel``)."""
-    if memory_entries is not None:
-        warnings.warn(
-            "memory_entries is deprecated; use memory_budget_entries",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return memory_entries
-    return memory_budget_entries
-
-
 def generate_to_disk(
     design: PowerLawDesign,
     n_ranks: int,
     directory: str | Path,
     *,
     config: RunConfig | None = None,
-    memory_budget_entries: int | None = None,
     prefix: str = "edges",
-    scramble_seed: int | None = None,
-    resume: bool | None = None,
-    backend: BackendLike = None,
-    scheduler=None,
     max_retries: int = 0,
     failure_injector: Callable[[int, int], None] | None = None,
     crash_hook: Callable[[int, int], None] | None = None,
     metrics: MetricsRegistry | None = None,
     tracer: Tracer | None = None,
-    transport: str | None = None,
-    memory_entries: int | None = None,
 ) -> StreamSummary:
     """Generate ``design`` rank by rank, writing per-rank TSV shards
     crash-safely.
@@ -114,29 +90,24 @@ def generate_to_disk(
     starts — killing the process at any instant leaves a valid partial
     checkpoint.
 
-    Parameters beyond the original signature:
+    ``config`` (a :class:`~repro.engine.config.RunConfig`) carries the
+    run-shaping choices; this driver honours every field except
+    ``checkpoint_dir`` (the directory is positional):
 
-    ``config``
-        A :class:`~repro.engine.config.RunConfig` carrying the
-        run-shaping choices (backend, scheduler, memory budget,
-        transport, resume, scramble seed, kernel) in one object — the
-        preferred spelling.  The individual keywords below keep working
-        but are deprecated (they warn once per process), and mixing them
-        with ``config=`` raises.
-    ``scramble_seed``
+    ``config.scramble_seed``
         Apply the Graph500-style affine vertex scramble to the written
         labels (degree/triangle statistics are label-invariant, so
         validation is unaffected).  Recorded in the manifest
         fingerprint: a resume with a different seed is refused.
-    ``resume``
+    ``config.resume``
         Load an existing manifest, verify its design fingerprint,
         checksum-validate surviving shards (quarantining corrupt ones to
         ``*.corrupt``), and regenerate only missing/invalid ranks.
-    ``backend`` / ``max_retries`` / ``failure_injector``
+    ``config.backend`` / ``max_retries`` / ``failure_injector``
         Per-rank work runs through a
         :class:`~repro.runtime.RankExecutor`, so transient failures
         retry with backoff exactly as in ``generate_design_parallel``.
-    ``scheduler``
+    ``config.scheduler``
         ``None`` (the default) commits rank by rank with a barrier
         between ranks (``StaticScheduler(batch_size=1)``); pass a
         :class:`~repro.engine.scheduler.WorkQueueScheduler` to run
@@ -147,7 +118,7 @@ def generate_to_disk(
         ``hook(rank, completed_count)`` invoked after each rank is
         durably committed — :class:`~repro.runtime.CrashInjector` raises
         from here to simulate a mid-run death in tests.
-    ``transport``
+    ``config.transport``
         ``None`` (the default) writes shards directly.  A transport name
         (``"inproc"``, ``"socket"``) routes every tile through
         :mod:`repro.net` instead: the engine streams frames over the
@@ -156,8 +127,6 @@ def generate_to_disk(
         shards, ``manifest.json``, and resume state are byte-identical
         to the direct path — the single-machine rehearsal of the
         distributed collection deployment.
-    ``memory_entries``
-        Deprecated alias of ``memory_budget_entries`` (warns).
 
     ``config.model`` selects the generator model: the default (``None``
     or ``"kron"``) streams the design exactly as always; ``"skg"`` /
@@ -173,21 +142,8 @@ def generate_to_disk(
     ``stream.edges_written``, and the engine's ``engine.tiles`` /
     ``engine.peak_tile_entries``.
     """
-    memory_budget_entries = _resolve_memory_alias(
-        memory_budget_entries, memory_entries
-    )
     cfg = resolve_run_config(
-        "generate_to_disk",
-        config,
-        unsupported=("checkpoint_dir",),
-        memory_budget_entries=(
-            _UNSET if memory_budget_entries is None else memory_budget_entries
-        ),
-        scramble_seed=_UNSET if scramble_seed is None else scramble_seed,
-        resume=_UNSET if resume is None else resume,
-        backend=_UNSET if backend is None else backend,
-        scheduler=_UNSET if scheduler is None else scheduler,
-        transport=_UNSET if transport is None else transport,
+        "generate_to_disk", config, unsupported=("checkpoint_dir",)
     )
     budget = (
         cfg.memory_budget_entries
@@ -377,28 +333,17 @@ def streamed_degree_distribution(
     n_ranks: int,
     *,
     config: RunConfig | None = None,
-    memory_budget_entries: int | None = None,
-    backend: BackendLike = None,
-    scheduler=None,
-    memory_entries: int | None = None,
 ) -> DegreeDistribution:
     """Measured degree distribution, one budget-sized tile at a time.
 
-    Prefer ``config=RunConfig(...)`` (backend, scheduler, memory budget,
-    kernel); the individual keywords are deprecated aliases.
+    ``config`` honours ``backend``, ``scheduler``,
+    ``memory_budget_entries``, ``kernel`` and ``model``; the other
+    fields raise.
     """
-    memory_budget_entries = _resolve_memory_alias(
-        memory_budget_entries, memory_entries
-    )
     cfg = resolve_run_config(
         "streamed_degree_distribution",
         config,
         unsupported=("transport", "checkpoint_dir", "resume", "scramble_seed"),
-        memory_budget_entries=(
-            _UNSET if memory_budget_entries is None else memory_budget_entries
-        ),
-        backend=_UNSET if backend is None else backend,
-        scheduler=_UNSET if scheduler is None else scheduler,
     )
     budget = (
         cfg.memory_budget_entries
@@ -429,18 +374,21 @@ def validate_streamed(
     design: PowerLawDesign,
     n_ranks: int,
     *,
-    memory_budget_entries: int = 50_000_000,
-    memory_entries: int | None = None,
+    config: RunConfig | None = None,
 ) -> DegreeCheck:
-    """The Fig.-4 measured==predicted degree check, out of core."""
-    memory_budget_entries = _resolve_memory_alias(
-        memory_budget_entries, memory_entries
-    )
-    measured = streamed_degree_distribution(
-        design,
-        n_ranks,
-        config=RunConfig(memory_budget_entries=memory_budget_entries),
-    )
+    """The Fig.-4 measured==predicted degree check, out of core.
+
+    ``config`` is forwarded to :func:`streamed_degree_distribution`,
+    except a stochastic ``config.model``: it has no exact prediction to
+    match, so it raises :class:`~repro.errors.GenerationError`.
+    """
+    cfg = resolve_run_config("validate_streamed", config)
+    if cfg.model not in (None, "kron"):
+        raise GenerationError(
+            "validate_streamed checks the design's exact degree "
+            "prediction; a stochastic generator model cannot meet it"
+        )
+    measured = streamed_degree_distribution(design, n_ranks, config=cfg)
     return check_degree_distribution(measured, design.degree_distribution)
 
 

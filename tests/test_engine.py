@@ -17,6 +17,7 @@ from repro.engine import (
     DegreeSink,
     GenerationPlan,
     RankTask,
+    RunConfig,
     StaticScheduler,
     execute,
     plan_from_chain,
@@ -138,7 +139,7 @@ class TestBoundedMemoryExecution:
             [star_adjacency(3), star_adjacency(4), star_adjacency(5)]
         )
         budget = 150
-        plan = plan_from_chain(chain, VirtualCluster(1, memory_entries=budget))
+        plan = plan_from_chain(chain, VirtualCluster(1, memory_budget_entries=budget))
         assert plan.max_task_entries > budget
         metrics = MetricsRegistry()
         result = execute(plan, AssemblySink(), metrics=metrics)
@@ -179,15 +180,16 @@ class TestBoundedMemoryExecution:
         default_dir = tmp_path / "default"
         tiny_dir = tmp_path / "tiny"
         metrics = MetricsRegistry()
-        generate_to_disk(design, 5, default_dir, scramble_seed=11)
+        generate_to_disk(
+            design, 5, default_dir, config=RunConfig(scramble_seed=11)
+        )
         # 63 is the smallest budget at which both split halves fit for
         # this design's factor nnzs [7, 9, 11].
         summary = generate_to_disk(
             design,
             5,
             tiny_dir,
-            memory_budget_entries=63,
-            scramble_seed=11,
+            config=RunConfig(memory_budget_entries=63, scramble_seed=11),
             metrics=metrics,
         )
         assert metrics.snapshot()["counters"]["engine.tiles"] > 5
@@ -200,7 +202,7 @@ class TestDegreeSink:
     def test_streamed_distribution_matches_prediction(self):
         design = PowerLawDesign([3, 4, 5], "center")
         measured = streamed_degree_distribution(
-            design, 3, memory_budget_entries=100
+            design, 3, config=RunConfig(memory_budget_entries=100)
         )
         assert measured == design.degree_distribution
 

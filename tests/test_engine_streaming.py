@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.design import PowerLawDesign
-from repro.engine import WorkQueueScheduler
+from repro.engine import RunConfig, WorkQueueScheduler
 from repro.parallel import (
     ParallelKroneckerGenerator,
     ThreadBackend,
@@ -47,8 +47,10 @@ class TestRankOrderCommitDeterminism:
             design,
             6,
             queue_dir,
-            backend=ThreadBackend(max_workers=2),
-            scheduler=WorkQueueScheduler(),
+            config=RunConfig(
+                backend=ThreadBackend(max_workers=2),
+                scheduler=WorkQueueScheduler(),
+            ),
             failure_injector=FailureInjector([0], fail_attempts=1),
             max_retries=1,
         )
@@ -72,9 +74,11 @@ class TestRankOrderCommitDeterminism:
             design,
             8,
             tmp_path / "tight",
-            memory_budget_entries=63,
-            backend=ThreadBackend(max_workers=4),
-            scheduler=WorkQueueScheduler(),
+            config=RunConfig(
+                memory_budget_entries=63,
+                backend=ThreadBackend(max_workers=4),
+                scheduler=WorkQueueScheduler(),
+            ),
         )
         assert _read_shards(loose) == _read_shards(tight)
         assert _read_manifest(tmp_path / "loose") == _read_manifest(
@@ -86,7 +90,10 @@ class TestRankOrderCommitDeterminism:
         design = PowerLawDesign([3, 4], "leaf")
         static = generate_to_disk(design, 3, tmp_path / "a")
         queued = generate_to_disk(
-            design, 3, tmp_path / "b", scheduler=WorkQueueScheduler()
+            design,
+            3,
+            tmp_path / "b",
+            config=RunConfig(scheduler=WorkQueueScheduler()),
         )
         assert _read_shards(static) == _read_shards(queued)
 
@@ -112,8 +119,10 @@ class TestQueueSchedulerAcrossSinks:
         dist = streamed_degree_distribution(
             design,
             6,
-            backend=ThreadBackend(max_workers=2),
-            scheduler=WorkQueueScheduler(),
+            config=RunConfig(
+                backend=ThreadBackend(max_workers=2),
+                scheduler=WorkQueueScheduler(),
+            ),
         )
         assert dist == design.degree_distribution
 
@@ -125,8 +134,10 @@ class TestStreamingMetrics:
             PowerLawDesign([3, 4, 5], "center"),
             6,
             tmp_path,
-            backend=ThreadBackend(max_workers=2),
-            scheduler=WorkQueueScheduler(),
+            config=RunConfig(
+                backend=ThreadBackend(max_workers=2),
+                scheduler=WorkQueueScheduler(),
+            ),
             metrics=metrics,
         )
         gauges = metrics.snapshot()["gauges"]
@@ -170,7 +181,7 @@ class TestInjectorMapping:
                 PowerLawDesign([3, 4, 5], "center"),
                 6,
                 tmp_path,
-                scheduler=WorkQueueScheduler(),
+                config=RunConfig(scheduler=WorkQueueScheduler()),
                 failure_injector=FailureInjector([2], fatal=True),
             )
 

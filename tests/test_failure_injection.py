@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro.design import DegreeDistribution, PowerLawDesign
+from repro.engine import RunConfig
 from repro.errors import FatalRankError, RetryExhaustedError
 from repro.graphs import Graph
 from repro.runtime import FailureInjector
@@ -297,7 +298,9 @@ class TestTransportChaos:
         from repro.runtime.checkpoint import RunManifest
 
         assert RunManifest.load(tmp_path).status in ("failed", "in_progress")
-        summary = generate_to_disk(DESIGN, self.N_RANKS, tmp_path, resume=True)
+        summary = generate_to_disk(
+            DESIGN, self.N_RANKS, tmp_path, config=RunConfig(resume=True)
+        )
         clean = tmp_path.parent / "clean"
         generate_to_disk(DESIGN, self.N_RANKS, clean)
         for rank in range(self.N_RANKS):

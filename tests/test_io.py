@@ -59,6 +59,31 @@ class TestTSV:
         with pytest.raises(IOFormatError):
             read_rank_files(tmp_path, (2, 2))
 
+    def test_non_integral_values_refused_before_writing(self, tmp_path):
+        # 0.5 and 2.5 would be written as 0 and 2 (read back as one entry).
+        m = from_dense(np.array([[0.0, 0.5], [2.5, 0.0]]))
+        path = tmp_path / "out" / "edges.tsv"
+        with pytest.raises(IOFormatError, match="edges.tsv"):
+            write_tsv_edges(path, m)
+        assert not path.exists()
+
+    def test_whole_float_values_still_written(self, tmp_path):
+        m = from_dense(np.array([[0.0, 1.0], [2.0, 0.0]]))
+        path = tmp_path / "edges.tsv"
+        assert write_tsv_edges(path, m) == 2
+        assert path.read_bytes() == b"0\t1\t1\n1\t0\t2\n"
+
+    def test_rank_files_refuse_non_integral_values(self, tmp_path):
+        from repro.parallel.generator import RankBlock
+
+        whole = from_dense(np.array([[0, 1], [2, 0]]))
+        halves = from_dense(np.array([[0.0, 0.5], [2.5, 0.0]]))
+        blocks = [RankBlock(0, whole, 0, 2, 0.0), RankBlock(1, halves, 1, 2, 0.0)]
+        with pytest.raises(IOFormatError, match=r"edges\.1\.tsv"):
+            write_rank_files(tmp_path / "ranks", blocks)
+        # Checked before any file is created, rank 0's included.
+        assert not (tmp_path / "ranks").exists()
+
 
 class TestNPZ:
     def test_matrix_roundtrip(self, tmp_path, rng):

@@ -1,42 +1,68 @@
-"""RunConfig: the unified run-shaping API and its deprecation shims.
+"""RunConfig: the one run-shaping API.
 
 Contract under test (shared by every config-accepting driver):
 
 * ``RunConfig()`` reproduces each driver's historical behaviour;
-* individual run-shaping keywords keep working but warn once per
-  function per process;
-* mixing ``config=`` with an individual keyword raises;
+* ``config=`` is the only spelling: no driver has an individual keyword
+  named after a ``RunConfig`` field, so passing one is a ``TypeError``;
 * a config field the function cannot honour raises loudly instead of
   being silently ignored.
 """
 
 import dataclasses
+import inspect
 import warnings
 
 import pytest
 
 from repro import PowerLawDesign, RunConfig, VirtualCluster
-from repro.engine.config import (
-    _UNSET,
-    _reset_warned,
-    resolve_run_config,
-)
+from repro.engine.config import resolve_run_config
+from repro.engine.execute import execute
+from repro.engine.plan import plan_from_design
+from repro.engine.sinks import DegreeSink
 from repro.errors import GenerationError
 from repro.parallel import generate_design_parallel, streamed_degree_distribution
 from repro.parallel.scaling import run_scaling_study
 from repro.parallel.simulate import simulate_rate_curve
-from repro.parallel.stream import generate_to_disk
+from repro.parallel.stream import generate_to_disk, validate_streamed
 
 DESIGN = PowerLawDesign([3, 4, 5], "center")
 BUDGET = 500
 
-
-@pytest.fixture(autouse=True)
-def fresh_warning_state():
-    """Each test sees the warn-once state as a fresh process would."""
-    _reset_warned()
-    yield
-    _reset_warned()
+#: The seven drivers that take ``config=``, each with a call that
+#: differs from a valid one only by the removed ``backend=`` keyword.
+DRIVERS = {
+    "execute": (
+        execute,
+        lambda tmp, **kw: execute(
+            plan_from_design(DESIGN, 2), DegreeSink(), **kw
+        ),
+    ),
+    "generate_to_disk": (
+        generate_to_disk,
+        lambda tmp, **kw: generate_to_disk(DESIGN, 2, tmp, **kw),
+    ),
+    "streamed_degree_distribution": (
+        streamed_degree_distribution,
+        lambda tmp, **kw: streamed_degree_distribution(DESIGN, 2, **kw),
+    ),
+    "validate_streamed": (
+        validate_streamed,
+        lambda tmp, **kw: validate_streamed(DESIGN, 2, **kw),
+    ),
+    "generate_design_parallel": (
+        generate_design_parallel,
+        lambda tmp, **kw: generate_design_parallel(DESIGN, 2, **kw),
+    ),
+    "run_scaling_study": (
+        run_scaling_study,
+        lambda tmp, **kw: run_scaling_study(DESIGN.to_chain(), [1], **kw),
+    ),
+    "simulate_rate_curve": (
+        simulate_rate_curve,
+        lambda tmp, **kw: simulate_rate_curve(DESIGN, [1], **kw),
+    ),
+}
 
 
 class TestRunConfigDataclass:
@@ -76,28 +102,10 @@ class TestResolveRunConfig:
         cfg = RunConfig(memory_budget_entries=BUDGET)
         assert resolve_run_config("f", cfg) is cfg
 
-    def test_legacy_kwargs_fold_and_warn_once(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            first = resolve_run_config("f", None, backend="thread")
-            second = resolve_run_config("f", None, backend="thread")
-            resolve_run_config("g", None, backend="thread")
-        assert first.backend == "thread" == second.backend
-        deprecations = [
-            w for w in caught if issubclass(w.category, DeprecationWarning)
-        ]
-        # Once for "f" (not twice), once for "g".
-        assert len(deprecations) == 2
-        assert "config=RunConfig(...)" in str(deprecations[0].message)
-
     def test_no_kwargs_no_warning(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert resolve_run_config("f", None) == RunConfig()
-
-    def test_mixing_raises(self):
-        with pytest.raises(GenerationError, match="not both"):
-            resolve_run_config("f", RunConfig(), backend="thread")
 
     def test_non_runconfig_rejected(self):
         with pytest.raises(GenerationError, match="must be a RunConfig"):
@@ -108,40 +116,44 @@ class TestResolveRunConfig:
         with pytest.raises(GenerationError, match=r"\['resume'\]"):
             resolve_run_config("f", cfg, unsupported=("resume",))
 
-    def test_unset_sentinel_means_not_passed(self):
-        cfg = resolve_run_config("f", None, backend=_UNSET, scheduler=_UNSET)
-        assert cfg == RunConfig()
+    def test_takes_no_individual_keywords(self):
+        with pytest.raises(TypeError):
+            resolve_run_config("f", None, backend="thread")
+
+
+class TestOneSpelling:
+    """``config=`` is the only way to shape a run."""
+
+    FORBIDDEN = {f.name for f in dataclasses.fields(RunConfig)} | {
+        "memory_entries",
+        "max_block_entries",
+    }
+
+    @pytest.mark.parametrize("name", sorted(DRIVERS))
+    def test_no_parameter_named_after_a_config_field(self, name):
+        func, _ = DRIVERS[name]
+        params = set(inspect.signature(func).parameters) - {"config"}
+        assert params & self.FORBIDDEN == set()
+        assert "config" in inspect.signature(func).parameters
+
+    @pytest.mark.parametrize("name", sorted(DRIVERS))
+    def test_individual_keyword_is_a_type_error(self, name, tmp_path):
+        _, call = DRIVERS[name]
+        with pytest.raises(TypeError, match="backend"):
+            call(tmp_path / "out", backend="serial")
+
+    @pytest.mark.parametrize("name", sorted(DRIVERS))
+    def test_same_call_with_config_runs(self, name, tmp_path):
+        _, call = DRIVERS[name]
+        call(tmp_path / "out", config=RunConfig(backend="serial"))
+
+    def test_virtual_cluster_memory_entries_is_a_type_error(self):
+        with pytest.raises(TypeError, match="memory_entries"):
+            VirtualCluster(2, memory_entries=10)
+        assert not hasattr(VirtualCluster(2), "memory_entries")
 
 
 class TestDriversHonourConfig:
-    def test_generate_design_parallel_config_equals_legacy(self):
-        via_config = generate_design_parallel(
-            DESIGN, 4, config=RunConfig(memory_budget_entries=BUDGET)
-        )
-        via_legacy = generate_design_parallel(
-            DESIGN, 4, memory_budget_entries=BUDGET
-        )
-        assert via_config.adjacency.equal(via_legacy.adjacency)
-
-    def test_generate_to_disk_config_equals_legacy(self, tmp_path):
-        generate_to_disk(
-            DESIGN,
-            2,
-            tmp_path / "a",
-            config=RunConfig(memory_budget_entries=BUDGET, scramble_seed=7),
-        )
-        generate_to_disk(
-            DESIGN,
-            2,
-            tmp_path / "b",
-            memory_budget_entries=BUDGET,
-            scramble_seed=7,
-        )
-        for rank in range(2):
-            assert (tmp_path / "a" / f"edges.{rank}.tsv").read_bytes() == (
-                tmp_path / "b" / f"edges.{rank}.tsv"
-            ).read_bytes()
-
     def test_streamed_degrees_config_path(self):
         dist = streamed_degree_distribution(
             DESIGN, 2, config=RunConfig(memory_budget_entries=BUDGET)
@@ -182,20 +194,20 @@ class TestDriversHonourConfig:
         with pytest.raises(GenerationError, match="requires checkpoint_dir"):
             generate_design_parallel(DESIGN, 2, config=RunConfig(resume=True))
 
+    def test_validate_streamed_forwards_config(self):
+        check = validate_streamed(
+            DESIGN, 2, config=RunConfig(memory_budget_entries=BUDGET)
+        )
+        assert check.exact_match
+
+    def test_validate_streamed_refuses_stochastic_model(self):
+        with pytest.raises(GenerationError, match="stochastic"):
+            validate_streamed(DESIGN, 2, config=RunConfig(model="skg"))
+
     def test_transport_unsupported_in_degree_driver(self):
         with pytest.raises(GenerationError, match="transport"):
             streamed_degree_distribution(
                 DESIGN, 2, config=RunConfig(transport="inproc")
-            )
-
-    def test_drivers_reject_mixed_styles(self, tmp_path):
-        with pytest.raises(GenerationError, match="not both"):
-            generate_to_disk(
-                DESIGN,
-                2,
-                tmp_path,
-                config=RunConfig(),
-                memory_budget_entries=BUDGET,
             )
 
 
@@ -205,16 +217,6 @@ class TestVirtualClusterMigration:
             warnings.simplefilter("error")
             cluster = VirtualCluster(n_ranks=2, memory_budget_entries=BUDGET)
         assert cluster.memory_budget_entries == BUDGET
-
-    def test_old_init_keyword_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="memory_entries"):
-            cluster = VirtualCluster(2, memory_entries=BUDGET)
-        assert cluster.memory_budget_entries == BUDGET
-
-    def test_old_read_property_warns(self):
-        cluster = VirtualCluster(2, memory_budget_entries=BUDGET)
-        with pytest.warns(DeprecationWarning, match="memory_entries"):
-            assert cluster.memory_entries == BUDGET
 
     def test_repr_uses_new_name(self):
         assert "memory_budget_entries" in repr(VirtualCluster(2))

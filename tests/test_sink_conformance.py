@@ -224,7 +224,11 @@ class TestByteIdentityAcrossTransports:
     def baseline(self, tmp_path):
         plan = make_plan(4)
         directory = tmp_path / "baseline"
-        execute(plan, ShardSink(directory), scheduler=StaticScheduler(batch_size=1))
+        execute(
+            plan,
+            ShardSink(directory),
+            config=RunConfig(scheduler=StaticScheduler(batch_size=1)),
+        )
         return plan, directory
 
     @pytest.mark.parametrize("transport", ["inproc", "socket"])
@@ -238,7 +242,7 @@ class TestByteIdentityAcrossTransports:
             plan,
             ShardSink(out),
             transport=transport,
-            scheduler=SCHEDULERS[scheduler_name](),
+            config=RunConfig(scheduler=SCHEDULERS[scheduler_name]()),
         )
         assert shard_bytes(out) == shard_bytes(base_dir)
         assert manifest_identity_fields(out) == manifest_identity_fields(base_dir)
@@ -276,7 +280,10 @@ class TestByteIdentityAcrossTransports:
         # Resume the dead run, collecting over a transport: the SKIP
         # handshake must carry the completed ranks across the wire.
         summary = generate_to_disk(
-            DESIGN, 4, crashed, resume=True, transport="inproc"
+            DESIGN,
+            4,
+            crashed,
+            config=RunConfig(resume=True, transport="inproc"),
         )
         assert summary.skipped_ranks == 2
         assert shard_bytes(crashed) == shard_bytes(clean)
@@ -288,9 +295,14 @@ class TestByteIdentityAcrossTransports:
         routed = tmp_path / "routed"
         from repro.parallel import generate_to_disk
 
-        s1 = generate_to_disk(DESIGN, 3, direct, scramble_seed=9)
+        s1 = generate_to_disk(
+            DESIGN, 3, direct, config=RunConfig(scramble_seed=9)
+        )
         s2 = generate_to_disk(
-            DESIGN, 3, routed, scramble_seed=9, transport=transport
+            DESIGN,
+            3,
+            routed,
+            config=RunConfig(scramble_seed=9, transport=transport),
         )
         assert shard_bytes(direct) == shard_bytes(routed)
         assert manifest_identity_fields(direct) == manifest_identity_fields(routed)
@@ -354,7 +366,11 @@ class TestByteIdentityUnderChurn:
     def baseline_static(self, tmp_path):
         plan = make_plan(6)
         directory = tmp_path / "baseline"
-        execute(plan, ShardSink(directory), scheduler=StaticScheduler(batch_size=1))
+        execute(
+            plan,
+            ShardSink(directory),
+            config=RunConfig(scheduler=StaticScheduler(batch_size=1)),
+        )
         return plan, directory
 
     def test_direct_shard_output_identical_under_churn(

@@ -95,6 +95,7 @@ def smoke_interrupted_resume(root: Path) -> int:
     with an uninterrupted run plus a passing shard verification."""
     sys.path.insert(0, str(root / "src"))
     from repro.design import PowerLawDesign
+    from repro.engine import RunConfig
     from repro.parallel import generate_to_disk, verify_shards
     from repro.runtime import CrashInjector, SimulatedCrash
 
@@ -112,7 +113,9 @@ def smoke_interrupted_resume(root: Path) -> int:
         else:
             print("bench-smoke: crash hook did not fire", file=sys.stderr)
             return 1
-        summary = generate_to_disk(design, n_ranks, crashed, resume=True)
+        summary = generate_to_disk(
+            design, n_ranks, crashed, config=RunConfig(resume=True)
+        )
         if summary.skipped_ranks != 2:
             print(
                 f"bench-smoke: resume reused {summary.skipped_ranks} "
@@ -146,6 +149,7 @@ def smoke_tiled_budget(
     (a) real tiling happened, (b) byte-identity with the default run."""
     sys.path.insert(0, str(root / "src"))
     from repro.design import PowerLawDesign
+    from repro.engine import RunConfig
     from repro.runtime import MetricsRegistry
 
     from repro.parallel import generate_to_disk
@@ -164,7 +168,7 @@ def smoke_tiled_budget(
             design,
             n_ranks,
             tiny_dir,
-            memory_budget_entries=memory_budget,
+            config=RunConfig(memory_budget_entries=memory_budget),
             metrics=metrics,
         )
         snapshot = metrics.snapshot()
@@ -231,7 +235,7 @@ def smoke_straggler_queue(root: Path, artifact_dir: Path | None) -> int:
     static rank-by-rank path, with byte-identical output."""
     sys.path.insert(0, str(root / "src"))
     from repro.design import PowerLawDesign
-    from repro.engine import WorkQueueScheduler
+    from repro.engine import RunConfig, WorkQueueScheduler
     from repro.parallel import generate_to_disk
     from repro.parallel.backends import ThreadBackend
     from repro.runtime import MetricsRegistry
@@ -254,8 +258,7 @@ def smoke_straggler_queue(root: Path, artifact_dir: Path | None) -> int:
                 design,
                 n_ranks,
                 out,
-                backend=backend,
-                scheduler=scheduler,
+                config=RunConfig(backend=backend, scheduler=scheduler),
                 failure_injector=delay,
                 metrics=metrics,
             )
@@ -433,6 +436,7 @@ def smoke_socket_sink(root: Path, artifact_dir: Path | None) -> int:
     collected directory must be byte-for-byte the direct one."""
     sys.path.insert(0, str(root / "src"))
     from repro.design import PowerLawDesign
+    from repro.engine import RunConfig
     from repro.parallel import generate_to_disk, verify_shards
     from repro.runtime import MetricsRegistry
 
@@ -443,7 +447,11 @@ def smoke_socket_sink(root: Path, artifact_dir: Path | None) -> int:
         direct, collected = Path(tmp) / "direct", Path(tmp) / "collected"
         generate_to_disk(design, n_ranks, direct)
         generate_to_disk(
-            design, n_ranks, collected, transport="socket", metrics=metrics
+            design,
+            n_ranks,
+            collected,
+            config=RunConfig(transport="socket"),
+            metrics=metrics,
         )
         for name in [f"edges.{r}.tsv" for r in range(n_ranks)] + ["manifest.json"]:
             if (direct / name).read_bytes() != (collected / name).read_bytes():
